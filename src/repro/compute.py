@@ -64,7 +64,7 @@ class ComputeModel:
         Used by the simulator to schedule per-layer gradient-ready events
         (the granularity at which DDP overlaps communication).
         """
-        if layer.name not in {l.name for l in self.model.layers}:
+        if layer.name not in self.model.layer_names:
             raise ConfigurationError(
                 f"layer {layer.name!r} is not part of {self.model.name}")
         flops = batch_size * layer.bwd_flops_per_sample()

@@ -25,7 +25,7 @@ from .fingerprint import (
     config_fingerprint,
     digest,
     fabric_fingerprint,
-    model_fingerprint,
+    model_fragment,
     profile_fingerprint,
     scheme_fingerprint,
 )
@@ -39,6 +39,6 @@ __all__ = [
     "AdvisorShardJob", "AdvisorShardOutcome", "AdvisorShardResult",
     "evaluate_advisor_family",
     "FINGERPRINT_VERSION", "digest",
-    "model_fingerprint", "scheme_fingerprint", "cluster_fingerprint",
+    "model_fragment", "scheme_fingerprint", "cluster_fingerprint",
     "fabric_fingerprint", "config_fingerprint", "profile_fingerprint",
 ]

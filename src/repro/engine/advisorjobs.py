@@ -48,7 +48,7 @@ from .fingerprint import (
     FINGERPRINT_VERSION,
     canonical_json,
     digest,
-    model_fingerprint,
+    model_fragment,
     profile_fingerprint,
     scheme_fingerprint,
 )
@@ -134,7 +134,7 @@ class AdvisorShardJob:
         payload = {
             "kind": "advisor-shard",
             "version": FINGERPRINT_VERSION,
-            "model": model_fingerprint(self.model),
+            "model": model_fragment(self.model),
             "scheme": scheme_fingerprint(self.scheme),
             "gpu": _gpu_payload(self.gpu),
             "profile": profile_fingerprint(self.profile),
@@ -160,7 +160,7 @@ class AdvisorShardJob:
         slices, which the pool path submits as a single task."""
         payload: Dict[str, Any] = {
             "kind": "advisor-shard",
-            "model": model_fingerprint(self.model),
+            "model": model_fragment(self.model),
             "scheme": scheme_fingerprint(self.scheme),
             "gpu": _gpu_payload(self.gpu),
             "profile": profile_fingerprint(self.profile),

@@ -65,7 +65,7 @@ from .fingerprint import (
     digest,
     fabric_fingerprint,
     faults_fingerprint,
-    model_fingerprint,
+    model_fragment,
     profile_fingerprint,
     scheme_fingerprint,
 )
@@ -202,7 +202,7 @@ class SimJob:
         """
         payload = {
             "version": FINGERPRINT_VERSION,
-            "model": model_fingerprint(self.model),
+            "model": model_fragment(self.model),
             "cluster": cluster_fingerprint(self.cluster),
             "scheme": scheme_fingerprint(self.scheme),
             "fabric": fabric_fingerprint(self.fabric),
@@ -236,7 +236,7 @@ class SimJob:
             return cached
         payload = {
             "version": FINGERPRINT_VERSION,
-            "model": model_fingerprint(self.model),
+            "model": model_fragment(self.model),
             "cluster": cluster_fingerprint(self.cluster),
             "scheme": scheme_fingerprint(self.scheme),
             "fabric": fabric_fingerprint(self.fabric),

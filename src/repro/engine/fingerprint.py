@@ -17,6 +17,19 @@ Two rules keep keys stable across processes and sessions:
 Anything not captured here MUST NOT influence ``DDPSimulator.run`` —
 that is the cache's correctness contract, and what
 ``tests/test_engine_cache.py`` exercises field by field.
+
+The model's part of every key — a zoo model's 21-313-layer table — is
+rendered to canonical JSON once per :class:`~repro.models.ModelSpec`
+instance by :func:`model_fragment` and memoized on the frozen spec;
+:func:`canonical_json` splices that :class:`Fragment` into each job's
+payload verbatim.  Keys are byte-identical to rendering the whole
+payload in one ``json.dumps`` call (``tests/test_fingerprint.py`` keeps
+that renderer as an oracle and pins golden keys).  The memo never
+enters pickles and a ``dataclasses.replace``-d spec starts without
+one.  Consequently a new :class:`~repro.models.ModelSpec` or
+:class:`~repro.models.LayerSpec` field that affects timing MUST be added
+to the fragment payload in :func:`model_fragment` — nothing else will
+put it into the key.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from ..compression.schemes import Scheme
 from ..faults import FaultSchedule
 from ..hardware import ClusterConfig
 from ..models import ModelSpec
+from ..models.layers import FINGERPRINT_MEMO
 from ..network import Fabric
 from ..simulator import DDPConfig
 
@@ -39,28 +53,40 @@ from ..simulator import DDPConfig
 FINGERPRINT_VERSION = 1
 
 
-def model_fingerprint(model: ModelSpec) -> Dict[str, Any]:
-    """Everything about a model that the simulator's timing depends on."""
-    return {
-        "name": model.name,
-        "default_batch_size": model.default_batch_size,
-        "compute_efficiency": model.compute_efficiency,
-        "batch_half_saturation": model.batch_half_saturation,
-        "gather_granularity": model.gather_granularity,
-        "layers": [
-            {
-                "name": layer.name,
-                "kind": layer.kind,
-                "param_shape": list(layer.param_shape),
-                "matrix_shape": list(layer.matrix_shape),
-                "extra_params": layer.extra_params,
-                "fwd_flops_per_sample": layer.fwd_flops_per_sample,
-                "activation_bytes_per_sample":
-                    layer.activation_bytes_per_sample,
-            }
-            for layer in model.layers
-        ],
-    }
+class Fragment(str):
+    """Text that is already canonical JSON: :func:`canonical_json`
+    splices it verbatim instead of encoding it as a string."""
+
+    __slots__ = ()
+
+
+def model_fragment(model: ModelSpec) -> Fragment:
+    """Canonical JSON of everything about a model that the simulator's
+    timing depends on, rendered once per spec instance and memoized."""
+    fragment = model.__dict__.get(FINGERPRINT_MEMO)
+    if fragment is None:
+        fragment = Fragment(canonical_json({
+            "name": model.name,
+            "default_batch_size": model.default_batch_size,
+            "compute_efficiency": model.compute_efficiency,
+            "batch_half_saturation": model.batch_half_saturation,
+            "gather_granularity": model.gather_granularity,
+            "layers": [
+                {
+                    "name": layer.name,
+                    "kind": layer.kind,
+                    "param_shape": list(layer.param_shape),
+                    "matrix_shape": list(layer.matrix_shape),
+                    "extra_params": layer.extra_params,
+                    "fwd_flops_per_sample": layer.fwd_flops_per_sample,
+                    "activation_bytes_per_sample":
+                        layer.activation_bytes_per_sample,
+                }
+                for layer in model.layers
+            ],
+        }))
+        object.__setattr__(model, FINGERPRINT_MEMO, fragment)
+    return fragment
 
 
 def scheme_fingerprint(scheme: Optional[Scheme]) -> Dict[str, Any]:
@@ -159,10 +185,29 @@ def faults_fingerprint(faults: Optional[FaultSchedule],
     return faults.fingerprint_payload()
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            allow_nan=False)
+_dumps = _ENCODER.encode
+
+
 def canonical_json(payload: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace variance."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    """Deterministic JSON: sorted keys, no whitespace variance.
+
+    A top-level dict is rendered here, key by key, so that
+    :class:`Fragment` values are spliced in verbatim; the bytes equal
+    one ``json.dumps`` of the fully expanded payload.  Top-level keys
+    must be strings (``json.dumps`` would coerce others).
+    """
+    if not isinstance(payload, dict):
+        return _dumps(payload)
+    parts = []
+    for key in sorted(payload):
+        if not isinstance(key, str):
+            raise TypeError(f"canonical JSON keys must be str, got {key!r}")
+        value = payload[key]
+        text = value if isinstance(value, Fragment) else _dumps(value)
+        parts.append(f"{_dumps(key)}:{text}")
+    return "{" + ",".join(parts) + "}"
 
 
 def digest(payload: Any) -> str:

@@ -50,7 +50,7 @@ from .fingerprint import (
     FINGERPRINT_VERSION,
     canonical_json,
     digest,
-    model_fingerprint,
+    model_fragment,
     profile_fingerprint,
     scheme_fingerprint,
 )
@@ -124,7 +124,7 @@ class ModelEvalJob:
         payload = {
             "kind": "model-eval",
             "version": FINGERPRINT_VERSION,
-            "model": model_fingerprint(self.model),
+            "model": model_fragment(self.model),
             "scheme": scheme_fingerprint(self.scheme),
             "gpu": _gpu_payload(self.gpu),
             "profile": profile_fingerprint(self.profile),
@@ -152,7 +152,7 @@ class ModelEvalJob:
         pin the sweep axes instead.
         """
         payload: Dict[str, Any] = {
-            "model": model_fingerprint(self.model),
+            "model": model_fragment(self.model),
             "scheme": scheme_fingerprint(self.scheme),
             "gpu": _gpu_payload(self.gpu),
             "profile": profile_fingerprint(self.profile),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -167,7 +168,8 @@ class Histogram:
     Exact ``count``/``total``/``min``/``max``; percentiles come from a
     retained sample capped at :data:`MAX_HISTOGRAM_SAMPLES` (the cap
     exists so a million-iteration sweep cannot grow memory unboundedly;
-    within it, percentiles are exact too).
+    within it, percentiles are exact too).  The sample is a packed
+    ``array("d")``, 8 bytes per retained value.
     """
 
     __slots__ = ("count", "total", "min", "max", "_samples")
@@ -177,7 +179,7 @@ class Histogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._samples: List[float] = []
+        self._samples = array("d")
 
     def observe(self, value: float) -> None:
         value = float(value)

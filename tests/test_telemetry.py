@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+import random
 
 import pytest
 
@@ -120,6 +122,52 @@ class TestHistogram:
         assert h.count == MAX_HISTOGRAM_SAMPLES + 1
         assert h.max == 7.0
         assert len(h._samples) == MAX_HISTOGRAM_SAMPLES
+
+
+def _list_summary(values):
+    """The list-backed histogram summary the packed sample replaced."""
+    kept = [float(v) for v in values[:MAX_HISTOGRAM_SAMPLES]]
+    ordered = sorted(kept)
+
+    def pct(q):
+        return ordered[max(0, math.ceil(q / 100.0 * len(ordered)) - 1)]
+
+    return {"count": len(values), "total": sum(float(v) for v in values),
+            "mean": sum(float(v) for v in values) / len(values),
+            "min": min(values), "max": max(values),
+            "p50": pct(50.0), "p90": pct(90.0), "p99": pct(99.0)}
+
+
+class TestHistogramStorage:
+    def test_packed_eight_bytes_per_sample(self):
+        h = Histogram()
+        h.observe(1.0)
+        assert h._samples.itemsize == 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_percentiles_match_sorted_list(self, seed):
+        rng = random.Random(seed)
+        values = [rng.lognormvariate(0.0, 2.0) for _ in range(997)]
+        h = Histogram()
+        for v in values:
+            h.observe(v)
+        ordered = sorted(values)
+        for q in (0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0):
+            rank = max(0, math.ceil(q / 100.0 * len(ordered)) - 1)
+            assert h.percentile(q) == ordered[rank]
+        assert h.summary() == _list_summary(values)
+
+    def test_cap_holds_and_summary_matches_list(self):
+        rng = random.Random(7)
+        values = [rng.random() for _ in range(MAX_HISTOGRAM_SAMPLES + 50)]
+        h = Histogram()
+        for v in values:
+            h.observe(v)
+        assert len(h._samples) == MAX_HISTOGRAM_SAMPLES
+        assert h.count == len(values)
+        # Percentiles come from the first MAX_HISTOGRAM_SAMPLES values;
+        # the aggregates cover every observation.
+        assert h.summary() == _list_summary(values)
 
 
 class TestMetricsRegistry:
