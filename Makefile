@@ -1,7 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke trace-smoke serve-smoke cache-smoke advise-smoke examples
+.PHONY: test lint bench bench-smoke trace-smoke serve-smoke cache-smoke advise-smoke examples \
+	perfbench-selftest
 
 ## tier-1: the fast unit/behaviour suite (benchmarks/ excluded)
 test:
@@ -64,6 +65,12 @@ advise-smoke:
 ## tier warm before any request
 cache-smoke:
 	$(PYTHON) tools/check_cache.py
+
+## the benchmark's self-test: every workload at tiny sizes, with its
+## output checks (serve-mix's served-vs-offline body parity among them)
+## and a deliberately corrupted run that the checks must catch
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench/test_selftest.py -q
 
 ## run every example headlessly in smoke mode (trimmed protocols, <60 s
 ## total); CI runs this on every push

@@ -657,8 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="how long the scheduler lingers after the "
                             "first queued request so concurrent "
-                            "requests coalesce into one engine batch "
-                            "(default: 20)")
+                            "requests coalesce into one engine batch; "
+                            "ends early once --max-batch-requests are "
+                            "queued (default: 20)")
     p_srv.add_argument("--max-batch-requests", type=int, default=8,
                        metavar="N",
                        help="most requests coalesced into one batch "

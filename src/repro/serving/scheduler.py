@@ -5,9 +5,10 @@ returns; this module keeps it alive for the process lifetime behind an
 admission queue, the way vLLM's continuous-batching scheduler keeps a
 model executor alive behind one.  A single background thread loops:
 
-1. wait until the queue is non-empty, then sleep one *batch window*
+1. wait until the queue is non-empty, then linger one *batch window*
    (``batch_window_s``, default 20 ms) so closely-spaced requests land
-   in the same batch;
+   in the same batch -- ending early once ``max_batch_requests`` are
+   queued or the scheduler is closed;
 2. drain up to ``max_batch_requests`` requests, dropping any whose
    deadline expired while queued;
 3. expand every drained request into engine jobs — a what-if request
@@ -120,7 +121,8 @@ class ServingScheduler:
         quotas: Per-tenant token buckets (:class:`TenantQuotas`).
         batch_window_s: How long the scheduler lingers after the first
             queued request before forming a batch — the knob trading
-            latency for coalescing opportunity.
+            latency for coalescing opportunity.  The linger ends early
+            when ``max_batch_requests`` are queued or on :meth:`close`.
         max_batch_requests: Most requests drained into one batch.
         default_timeout_s: Deadline applied to requests that do not
             carry their own ``timeout_s``; ``None`` disables deadlines.
@@ -263,13 +265,17 @@ class ServingScheduler:
             with self._cv:
                 while not self._queue and not self._closed:
                     self._cv.wait()
+                # Linger one batch window so near-simultaneous requests
+                # coalesce; stop early once no more can join the batch.
+                linger_until = time.monotonic() + self.batch_window_s
+                while (not self._closed
+                       and len(self._queue) < self.max_batch_requests):
+                    remaining = linger_until - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._cv.wait(timeout=remaining)
                 if self._closed:
                     return
-            # Linger one batch window so near-simultaneous requests
-            # coalesce; the queue can only grow meanwhile.
-            if self.batch_window_s > 0:
-                time.sleep(self.batch_window_s)
-            with self._cv:
                 batch = self._queue[:self.max_batch_requests]
                 del self._queue[:len(batch)]
                 get_registry().gauge("serving_queue_depth").set(

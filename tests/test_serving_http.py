@@ -2,8 +2,10 @@
 end-to-end ``repro serve`` smoke with byte parity vs ``repro
 recommend``."""
 
+import http.client
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -15,6 +17,7 @@ import pytest
 
 from repro.engine import ExperimentEngine
 from repro.serving import ServingScheduler, make_server
+from repro.serving.http import ServingHTTPServer
 from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry.metrics import validate_prometheus_text
 
@@ -109,6 +112,119 @@ class TestRoutes:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 413
+
+
+class CountingSocket:
+    """An accepted socket that counts the sends made through it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = 0
+
+    def sendall(self, data, *flags):
+        self.sends += 1
+        return self._sock.sendall(data, *flags)
+
+    def send(self, data, *flags):
+        self.sends += 1
+        return self._sock.send(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class CountingServer(ServingHTTPServer):
+    """Hands every handler a :class:`CountingSocket` and keeps them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.accepted = []
+
+    def get_request(self):
+        sock, address = super().get_request()
+        counting = CountingSocket(sock)
+        self.accepted.append(counting)
+        return counting, address
+
+
+@pytest.fixture
+def counting_server():
+    """An in-process :class:`CountingServer`; yields it."""
+    telemetry_metrics.enable()
+    scheduler = ServingScheduler(engine=ExperimentEngine(),
+                                 batch_window_s=0.01,
+                                 quota_rps=1000.0, quota_burst=1000.0)
+    http_server = CountingServer(("127.0.0.1", 0), scheduler)
+    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield http_server
+    finally:
+        http_server.shutdown()
+        http_server.server_close()
+        scheduler.close()
+        telemetry_metrics.disable()
+
+
+class TestWire:
+    """How responses leave the server: one send each, Nagle off, and
+    sound framing on a keep-alive connection."""
+
+    REQUESTS = [
+        ("POST", "/v1/whatif", b'{"model": "resnet50", "gpus": 8, '
+                               b'"crossovers": false}', 200),
+        ("POST", "/v1/whatif", b"{not json", 400),
+        ("GET", "/v1/nope", None, 404),
+        ("GET", "/metrics", None, 200),
+        ("GET", "/healthz", None, 200),
+    ]
+
+    def test_one_send_per_response(self, counting_server):
+        conn = http.client.HTTPConnection(
+            *counting_server.server_address[:2], timeout=60)
+        try:
+            for count, (method, path, body, status) in enumerate(
+                    self.REQUESTS, start=1):
+                conn.request(method, path, body=body)
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == status
+                [sock] = counting_server.accepted
+                assert sock.sends == count, (method, path)
+        finally:
+            conn.close()
+
+    def test_accepted_sockets_have_nagle_off(self, counting_server):
+        conn = http.client.HTTPConnection(
+            *counting_server.server_address[:2], timeout=30)
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            [sock] = counting_server.accepted
+            assert sock.getsockopt(socket.IPPROTO_TCP,
+                                   socket.TCP_NODELAY) != 0
+        finally:
+            conn.close()
+
+    def test_keep_alive_framing(self, counting_server):
+        conn = http.client.HTTPConnection(
+            *counting_server.server_address[:2], timeout=60)
+        try:
+            for i in range(20):
+                method, path, body, status = \
+                    self.REQUESTS[i % len(self.REQUESTS)]
+                conn.request(method, path, body=body)
+                resp = conn.getresponse()
+                raw = resp.read()
+                assert resp.status == status
+                assert int(resp.getheader("Content-Length")) == len(raw)
+                if path == "/metrics":
+                    assert validate_prometheus_text(raw.decode()) == []
+                else:
+                    json.loads(raw)
+            assert len(counting_server.accepted) == 1
+        finally:
+            conn.close()
 
 
 class TestWorkflows:

@@ -2,6 +2,7 @@
 coalescing, and parity with the offline advisor."""
 
 import threading
+import time
 
 import pytest
 
@@ -129,6 +130,38 @@ class TestAdmission:
         with pytest.raises(AdmissionError) as excinfo:
             sched.submit(simulate_request())
         assert excinfo.value.reason == "closed"
+
+
+class TestBatchWindow:
+    """The linger ends as soon as no more requests can join the batch.
+
+    The window is 30 s; every bound below is a third of it, so only a
+    scheduler that waits out the window can fail them.
+    """
+
+    def test_full_batch_runs_without_waiting_out_the_window(self):
+        sched = make_scheduler(batch_window_s=30.0, max_batch_requests=2)
+        try:
+            started = time.monotonic()
+            states = [sched.submit(simulate_request(seed=s))
+                      for s in range(2)]
+            finals = [sched.wait(s.id, timeout_s=20.0) for s in states]
+            assert [f.status for f in finals] == ["done", "done"]
+            assert time.monotonic() - started < 10.0
+            assert sched.batches == 1
+            assert sched.requests_coalesced == 2
+        finally:
+            sched.close()
+
+    def test_close_interrupts_the_window(self):
+        sched = make_scheduler(batch_window_s=30.0, max_batch_requests=2)
+        state = sched.submit(simulate_request())
+        time.sleep(0.2)  # let the batch thread start lingering
+        started = time.monotonic()
+        sched.close(timeout_s=20.0)
+        assert time.monotonic() - started < 10.0
+        assert state.status == "failed"
+        assert sched.batches == 0
 
 
 class TestCoalescing:
