@@ -32,15 +32,20 @@ bench-smoke:
 ## one tiny exhibit through the pooled engine with run tracing on, then
 ## validate the two observability artifacts it produced: the Perfetto
 ## trace (engine + worker-<pid> processes, span identity in args) and
-## the Prometheus snapshot written beside the manifest
+## the Prometheus snapshot written beside the manifest; a cold serial
+## run of the same exhibit must reproduce every exhibit digest
 trace-smoke:
 	rm -rf .trace-cache   # cold on purpose: a warm run executes no jobs,
 	                      # so there would be no worker spans to validate
 	$(PYTHON) -m repro experiment fig3 --jobs 2 --cache .trace-cache \
 		--trace-run .trace-cache/run.json
 	$(PYTHON) -m repro metrics --cache .trace-cache --format prom > /dev/null
+	mkdir -p .trace-cache/serial
+	$(PYTHON) -m repro experiment fig3 --jobs 1 \
+		--manifest .trace-cache/serial/manifest.json > /dev/null
 	$(PYTHON) tools/check_trace.py --trace .trace-cache/run.json \
-		--prom .trace-cache/metrics.prom
+		--prom .trace-cache/metrics.prom \
+		--serial-manifest .trace-cache/serial/manifest.json
 
 ## boot a real `repro serve` on an ephemeral port and drive the service
 ## guarantees end to end: /healthz, whatif byte-parity with the offline

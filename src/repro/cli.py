@@ -121,8 +121,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
              if args.cache else None)
     engine = ExperimentEngine(jobs=args.jobs, cache=cache,
-                              sim_mode=args.sim_mode,
-                              chunking=not args.no_chunking)
+                              sim_mode=args.sim_mode)
     # "all" covers only the paper's own exhibits; extras (reliability)
     # run by explicit id so the canonical output stays stable.
     ids = list(EXPERIMENTS) if args.id == "all" else [args.id]
@@ -191,8 +190,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                     "jobs": args.jobs, "cache": args.cache,
                     "cache_mem_mb": args.cache_mem_mb,
                     "markdown": bool(args.markdown),
-                    "sim_mode": args.sim_mode,
-                    "chunking": not args.no_chunking},
+                    "sim_mode": args.sim_mode},
             wall_time_s=time.perf_counter() - run_started,
             metrics=snapshot,
             results={"exhibits": exhibits,
@@ -498,18 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation execution scheme (default: auto "
                             "— the vectorized fast path whenever "
                             "results are provably identical). "
-                            "Independent of chunking: with --jobs N the "
-                            "engine groups compatible jobs (model-eval "
-                            "families into single grid calls, pooled "
-                            "simulations into chunks); per-point cache "
-                            "keys and cached bytes are unchanged, so "
+                            "Per-point cache keys and cached bytes do "
+                            "not depend on the mode or on --jobs, so "
                             "--cache directories are shared freely "
-                            "across modes, job counts, and chunking "
-                            "settings")
-    p_exp.add_argument("--no-chunking", action="store_true",
-                       help="disable job chunking/family grouping and "
-                            "run one execution per job (identical rows "
-                            "and cache entries, only slower)")
+                            "across both")
     p_exp.add_argument("--trace-run", default=None, metavar="PATH",
                        help="record a span trace of the whole run — "
                             "CLI, exhibits, engine queue/exec/cache "

@@ -18,9 +18,10 @@ Two properties make shards engine citizens like
   :class:`~repro.engine.cache.SimulationCache` without pricing
   anything;
 * **family chunking** — shards of one candidate share a
-  :meth:`AdvisorShardJob.family_key`; on the pool path the engine
-  submits one task per candidate (amortizing IPC over that candidate's
-  shards) while each member still runs its own bounded grid call.
+  :meth:`AdvisorShardJob.family_key`; the engine executes each
+  candidate as one group (one pool task, amortizing IPC over that
+  candidate's shards) while each member still runs its own bounded
+  grid call.
 
 Shard boundaries never change values: every shard slices the *same*
 full ``np.linspace`` bandwidth axis, so the concatenation of shard
@@ -30,7 +31,6 @@ what makes sharded-parallel advise output byte-identical to serial.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +52,7 @@ from .fingerprint import (
     profile_fingerprint,
     scheme_fingerprint,
 )
-from .modeljobs import _gpu_payload
+from .modeljobs import Tag, _execute_isolated, _gpu_payload
 
 
 @dataclass(frozen=True)
@@ -204,6 +204,8 @@ class AdvisorShardOutcome:
     error: Optional[Exception] = None
     cached: bool = False
     exec_s: float = 0.0
+    queue_wait_s: float = 0.0
+    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -229,14 +231,7 @@ def evaluate_advisor_family(jobs: Sequence[AdvisorShardJob],
     return [job.evaluate() for job in jobs]
 
 
-def _execute_advisor_family(jobs: Sequence[AdvisorShardJob],
-                            ) -> Tuple[List[AdvisorShardResult], float]:
-    """Process-pool entry point: one candidate's shards, sequentially.
-
-    Exceptions propagate to the parent, which falls back to in-process
-    per-shard evaluation (isolating the offending shard instead of
-    failing the candidate wholesale).
-    """
-    started = time.perf_counter()
-    results = evaluate_advisor_family(jobs)
-    return results, time.perf_counter() - started
+def _execute_advisor_family(jobs: Sequence[AdvisorShardJob]) -> List[Tag]:
+    """Engine family executor: one candidate's shards, sequentially,
+    a failing shard failing alone."""
+    return _execute_isolated(evaluate_advisor_family, jobs)

@@ -1,11 +1,11 @@
-"""Sweep execution: fan simulation jobs out over processes, memoize.
+"""Sweep execution: fan engine jobs out over processes, memoize.
 
 The paper's methodology (§6) and every scaling figure reduce to the
-same shape of work: a grid of independent ``DDPSimulator.run`` calls —
-model × scheme × cluster, 110 iterations each.  The grid is
-embarrassingly parallel and heavily redundant across figures (the
-syncSGD baseline of Figure 4 is the same simulation as the baseline of
-Figures 5 and 6), so the engine does two things:
+same shape of work: a grid of independent runs — model × scheme ×
+cluster.  The grid is embarrassingly parallel and heavily redundant
+across figures (the syncSGD baseline of Figure 4 is the same
+simulation as the baseline of Figures 5 and 6), so the engine does two
+things:
 
 * **fan-out** — cache misses run on a ``concurrent.futures`` process
   pool (``jobs`` workers); results come back in submission order, so a
@@ -16,6 +16,11 @@ Figures 5 and 6), so the engine does two things:
   fingerprint of everything that determines them (see
   :mod:`repro.engine.fingerprint`).
 
+Every job type — :class:`SimJob`, :class:`ModelEvalJob`,
+:class:`AdvisorShardJob` — takes the same path: one cache pass, misses
+grouped by ``family_key()`` (a pure function of the misses, never of
+the host), one group-and-retry loop, one store, one telemetry record.
+
 ``ExperimentEngine()`` with no arguments is a serial, cache-less
 drop-in for the old inline loops, which is what experiment runners
 default to when no engine is passed.
@@ -23,15 +28,15 @@ default to when no engine is passed.
 
 from __future__ import annotations
 
-import math
 import os
 import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
@@ -55,7 +60,6 @@ from .advisorjobs import (
     AdvisorShardOutcome,
     AdvisorShardResult,
     _execute_advisor_family,
-    evaluate_advisor_family,
 )
 from .cache import CacheStats, SimulationCache
 from .fingerprint import (
@@ -72,8 +76,8 @@ from .fingerprint import (
 from .modeljobs import (
     ModelEvalJob,
     ModelEvalOutcome,
+    Tag,
     _execute_model_family,
-    evaluate_family,
 )
 
 #: Environment variable for chaos testing the engine itself: set it to a
@@ -85,7 +89,7 @@ CHAOS_KILL_ENV = "REPRO_CHAOS_KILL_ONCE"
 
 #: Chaos hook for timeout testing: ``<sentinel-path>:<seconds>`` makes
 #: the first executor to claim the sentinel sleep that long before
-#: simulating, which a per-job timeout then catches.
+#: executing, which a per-job timeout then catches.
 CHAOS_SLEEP_ENV = "REPRO_CHAOS_SLEEP_ONCE"
 
 
@@ -114,26 +118,45 @@ def _claim_sentinel(path: str) -> bool:
     return True
 
 
-def _payload_label(payload: object) -> str:
-    """Short span name for whatever an execute_fn consumes (a job, a
-    chunk, a family — anything with ``describe()``)."""
-    describe = getattr(payload, "describe", None)
-    if callable(describe):
-        return describe()
-    return type(payload).__name__
+@dataclass(frozen=True)
+class _Group:
+    """Misses executed as one unit — a family sharing a
+    ``family_key()``, or a lone job — with its kind's family executor
+    (a module-level function, so the group pickles to a pool worker).
+    """
+
+    jobs: Tuple
+    execute: Callable[[Sequence], List[Tag]]
+
+    def describe(self) -> str:
+        """Short human label for spans, logs and error messages."""
+        lead = self.jobs[0].describe()
+        if len(self.jobs) == 1:
+            return lead
+        return f"family of {len(self.jobs)} jobs [{lead}]"
 
 
-def _traced_call(ctx: TraceContext, fn: Callable, payload: object):
+def _execute_group(group: _Group) -> List[Tag]:
+    """The one executor entry, in a pool worker or in-process: honour
+    the chaos hooks, then run the family executor, which returns one
+    tag per member.  An exception escaping it is environmental — the
+    run loop retries the whole group."""
+    _chaos_hook()
+    return group.execute(group.jobs)
+
+
+def _traced_call(ctx: TraceContext, group: _Group) -> Tuple[List[Tag], tuple]:
     """Execution wrapper that records spans under a propagated context.
 
     ``ctx`` is the submitting process's ``(trace_id, parent_span_id,
     submitted_unix_s)``.  A local :class:`TraceRecorder` seeded with
-    that context is installed for the duration of ``fn`` — so spans the
-    execution emits (including the simulator's own) parent across the
-    process boundary — plus a ``queue-wait`` span covering submission
-    to pickup and an ``exec`` span around the call itself.  Returns
-    ``(fn's result, recorded spans)`` for the parent to merge; a killed
-    worker ships nothing, so its retry lands as a sibling attempt.
+    that context is installed for the duration of the group's
+    execution — so spans it emits (including the simulator's own)
+    parent across the process boundary — plus a ``queue-wait`` span
+    covering submission to pickup and an ``exec`` span around the call
+    itself.  Returns ``(tags, recorded spans)`` for the parent to
+    merge; a killed worker ships nothing, so its retry lands as a
+    sibling attempt.
 
     Also used in-process by the serial path: the previous tracer is
     restored on exit either way.
@@ -146,12 +169,22 @@ def _traced_call(ctx: TraceContext, fn: Callable, payload: object):
         collector.add_span("queue-wait", track="queue",
                            start_unix_s=min(submitted_unix, started_unix),
                            end_unix_s=started_unix)
-        with collector.span(_payload_label(payload), track="exec",
+        with collector.span(group.describe(), track="exec",
                             pid=str(os.getpid())):
-            out = fn(payload)
+            out = _execute_group(group)
     finally:
         set_tracer(previous)
     return out, collector.drain()
+
+
+def _error_tags(group: _Group, reason: str) -> List[Tag]:
+    """Every member's tag once the engine gives up on ``group``."""
+    return [("error", reason, 0.0, time.time())] * len(group.jobs)
+
+
+def _status_label(tags: Sequence[Tag]) -> str:
+    """A group span's ``outcome`` label: its members' distinct statuses."""
+    return ",".join(sorted({tag[0] for tag in tags}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,8 +343,8 @@ class JobOutcome:
         return self.result
 
 
-def _execute_job(job: SimJob) -> Tuple[str, object, float, float]:
-    """Process-pool entry point: run one job, tag the outcome.
+def _execute_job(job: SimJob) -> Tag:
+    """Run one job and tag its outcome.
 
     OOM is data (the sweep reports it as a row), so it travels back as a
     value instead of an exception; anything else propagates to the
@@ -320,7 +353,6 @@ def _execute_job(job: SimJob) -> Tuple[str, object, float, float]:
     instant it started (``time.time``, comparable across processes to
     ~ms precision), from which the parent derives queue wait.
     """
-    _chaos_hook()
     started_unix = time.time()
     started = time.perf_counter()
     sim = job.build_simulator()
@@ -329,77 +361,28 @@ def _execute_job(job: SimJob) -> Tuple[str, object, float, float]:
                          warmup=job.warmup, seed=job.seed,
                          mode=job.sim_mode)
     except OutOfMemoryError as exc:
-        return ("oom", (str(exc), exc.required_bytes, exc.budget_bytes),
+        # Without its traceback: the outcome outlives the run, and the
+        # traceback would keep the simulator's frames (and arrays) alive.
+        return ("oom", exc.with_traceback(None),
                 time.perf_counter() - started, started_unix)
     return ("ok", result, time.perf_counter() - started, started_unix)
 
 
-@dataclass(frozen=True)
-class _JobChunk:
-    """Several consecutive misses bundled into one pool submission.
+def _execute_sim_family(jobs: Sequence[SimJob]) -> List[Tag]:
+    """Family executor for simulations: one stacked kernel call.
 
-    Chunking amortizes per-task IPC (pickling the model and cluster
-    once per chunk instead of once per job) on large sweeps; each job
-    inside still executes — and tags its outcome — individually, so
-    fan-out back to per-job outcomes is exact.
+    A lone job runs through :func:`_execute_job` (looked up at call
+    time, so tests can monkeypatch it).  A family the batch kernel
+    cannot serve — a deterministic OOM, which is per-member data, or a
+    configuration it rejects — falls back to executing members
+    individually, so family batching can only add speed, never failure
+    modes; unexpected exceptions still propagate for the parent to
+    retry.
     """
-
-    jobs: Tuple[SimJob, ...]
-
-    def describe(self) -> str:
-        """Short human label for logs and error messages."""
-        return (f"chunk of {len(self.jobs)} jobs "
-                f"[{self.jobs[0].describe()}, ...]")
-
-
-def _execute_job_chunk(chunk: _JobChunk) -> Tuple[str, object, float, float]:
-    """Process-pool entry point for a chunk: run members in order.
-
-    The payload is the list of per-job tagged outcomes, each carrying
-    its own wall time and start instant, so the parent rehydrates them
-    exactly as it would unchunked ones.  An unexpected exception fails
-    the whole chunk back to the parent, which retries it wholesale.
-    """
+    if len(jobs) == 1:
+        return [_execute_job(jobs[0])]
     started_unix = time.time()
     started = time.perf_counter()
-    tags = [_execute_job(job) for job in chunk.jobs]
-    return ("chunk", tags, time.perf_counter() - started, started_unix)
-
-
-@dataclass(frozen=True)
-class _SimFamily:
-    """Jobs sharing a :meth:`SimJob.family_key`, bundled for one
-    stacked kernel call.
-
-    Unlike a :class:`_JobChunk` (an IPC-amortization grouping of
-    unrelated jobs), a family's members are structurally identical —
-    the batch kernel prices their shared state once and evaluates all
-    members' iterations as one array computation.
-    """
-
-    jobs: Tuple[SimJob, ...]
-
-    def describe(self) -> str:
-        """Short human label for logs and error messages."""
-        return (f"family of {len(self.jobs)} jobs "
-                f"[{self.jobs[0].describe()}]")
-
-
-def _execute_sim_family(family: _SimFamily) -> Tuple[str, object, float, float]:
-    """Process-pool entry point for a family: one stacked kernel call.
-
-    The payload mirrors :func:`_execute_job_chunk`'s — a list of
-    per-job tagged outcomes — so the parent fans results back out with
-    the same machinery.  A family the batch kernel cannot serve (a
-    deterministic OOM, which is per-member data, or a configuration it
-    rejects) falls back to executing members individually, so family
-    batching can only add speed, never failure modes; unexpected
-    exceptions still propagate for the parent to retry.
-    """
-    _chaos_hook()
-    started_unix = time.time()
-    started = time.perf_counter()
-    jobs = family.jobs
     lead = jobs[0]
     try:
         # Deferred import: batch.py sits below the simulator package
@@ -413,34 +396,70 @@ def _execute_sim_family(family: _SimFamily) -> Tuple[str, object, float, float]:
             sims, lead.batch_size, iterations=lead.iterations,
             warmup=lead.warmup, seeds=[job.seed for job in jobs])
     except (OutOfMemoryError, ConfigurationError):
-        tags = [_execute_job(job) for job in jobs]
-        return ("chunk", tags, time.perf_counter() - started, started_unix)
-    elapsed = time.perf_counter() - started
-    share = elapsed / len(jobs)
-    tags = [("ok", result, share, started_unix) for result in results]
-    return ("chunk", tags, elapsed, started_unix)
+        results = None
+    if results is None:
+        # Outside the except block, so members' OOMs do not chain the
+        # family's exception (and its frames) as their __context__.
+        return [_execute_job(job) for job in jobs]
+    share = (time.perf_counter() - started) / len(jobs)
+    return [("ok", result, share, started_unix) for result in results]
 
 
-def _outcome_from_tagged(job: SimJob, tagged: Tuple[str, object, float, float],
-                         submitted_unix: float,
-                         cached: bool = False,
-                         attempts: int = 1) -> JobOutcome:
-    """Rehydrate a worker's tagged return into a :class:`JobOutcome`."""
-    kind, payload, exec_s, started_unix = tagged
-    queue_wait_s = max(0.0, started_unix - submitted_unix)
-    if kind == "error":
-        return JobOutcome(job=job, error=str(payload), cached=cached,
-                          exec_s=exec_s, queue_wait_s=queue_wait_s,
-                          attempts=attempts)
-    if kind == "oom":
-        message, required, budget = payload  # type: ignore[misc]
-        return JobOutcome(job=job, oom=OutOfMemoryError(
-            message, required_bytes=required, budget_bytes=budget),
-            cached=cached, exec_s=exec_s, queue_wait_s=queue_wait_s,
-            attempts=attempts)
-    return JobOutcome(job=job, result=payload, cached=cached,  # type: ignore[arg-type]
-                      exec_s=exec_s, queue_wait_s=queue_wait_s,
-                      attempts=attempts)
+def _sim_outcome(job: SimJob, status: str, payload: object,
+                 **fields: object) -> JobOutcome:
+    """Build a :class:`JobOutcome` from a member tag or a cache hit."""
+    if status == "error":
+        return JobOutcome(job=job, error=str(payload), **fields)
+    if isinstance(payload, OutOfMemoryError):
+        return JobOutcome(job=job, oom=payload, **fields)
+    return JobOutcome(job=job, result=payload, **fields)  # type: ignore[arg-type]
+
+
+def _eval_outcome(cls: type, job: Union[ModelEvalJob, AdvisorShardJob],
+                  status: str, payload: object, **fields: object):
+    """Build a closed-form outcome.  Its ``error`` is the exception
+    ``unwrap()`` re-raises: the evaluation's own, or an
+    :class:`EngineError` once the engine gave up on the execution."""
+    if status != "error":
+        return cls(job=job, result=payload, **fields)
+    if not isinstance(payload, Exception):
+        payload = EngineError(
+            f"{job.describe()} failed after {fields['attempts']} "
+            f"attempt(s): {payload}")
+    return cls(job=job, error=payload, **fields)
+
+
+@dataclass(frozen=True)
+class _JobKind:
+    """How the shared batch path treats one job type.
+
+    ``hit_types`` screens cache payloads (a key collision with another
+    kind's payload reads as a miss); ``execute`` is the module-level
+    family executor; ``outcome(job, status, payload, **fields)`` builds
+    an outcome from a member tag or a hit; ``grouped`` names the
+    :class:`EngineStats` counter that multi-member groups count in.
+    """
+
+    hit_types: Tuple[type, ...]
+    execute: Callable[[Sequence], List[Tag]]
+    outcome: Callable[..., object]
+    grouped: str
+
+
+_SIM_KIND = _JobKind((TimingResult, OutOfMemoryError), _execute_sim_family,
+                     _sim_outcome, "jobs_batched")
+_MODEL_KIND = _JobKind((PredictedTime,), _execute_model_family,
+                       partial(_eval_outcome, ModelEvalOutcome),
+                       "jobs_chunked")
+_ADVISOR_KIND = _JobKind((AdvisorShardResult,), _execute_advisor_family,
+                         partial(_eval_outcome, AdvisorShardOutcome),
+                         "jobs_chunked")
+
+#: Engine counters mirrored into telemetry as per-batch deltas.
+_DELTA_COUNTERS = (("retries", "engine_retries_total"),
+                   ("timeouts", "engine_timeouts_total"),
+                   ("jobs_batched", "engine_jobs_batched_total"),
+                   ("jobs_chunked", "engine_jobs_chunked_total"))
 
 
 @dataclass(frozen=True)
@@ -517,8 +536,8 @@ class EngineStats:
 
 
 class ExperimentEngine:
-    """Runs batches of :class:`SimJob` with optional parallelism and
-    an optional result cache.
+    """Runs batches of engine jobs with optional parallelism and an
+    optional result cache.
 
     Attributes:
         jobs: Worker process count; 1 (the default) runs in-process.
@@ -533,21 +552,21 @@ class ExperimentEngine:
             ``None`` (default) for no limit.  On the pool path the
             budget is charged per submission wave: a job queued behind
             ``k`` others on the same worker gets ``(k+1)`` budgets, so
-            queue wait does not count against it.
+            queue wait does not count against it.  A timeout runs every
+            job as its own group, so the budget keeps meaning per job.
         sim_mode: Execution scheme for the simulations this engine
             runs (:data:`repro.simulator.SIM_MODES`).  ``"auto"`` (the
             default) leaves each job's own ``sim_mode`` in force; an
             explicit ``"event"``/``"batch"`` overrides jobs that did not
             pick one themselves.  Results — and therefore cache keys —
             are identical either way.
-        chunking: Collapse compatible work into fewer executions:
-            large pooled :class:`SimJob` batches are submitted in
-            chunks (amortizing per-task IPC), and
-            :class:`~repro.engine.modeljobs.ModelEvalJob` families run
-            one grid-kernel call each.  Rows, fingerprints, and cached
-            bytes are identical either way — chunking is purely an
-            execution detail.  ``False`` restores one execution per
-            job.
+        chunking: Group misses sharing a ``family_key()`` into one
+            execution: a :class:`SimJob` family runs one stacked
+            kernel call, a :class:`~repro.engine.modeljobs.ModelEvalJob`
+            family one grid-kernel call, an advisor candidate's shards
+            one task.  Rows, fingerprints, and cached bytes are
+            identical either way.  ``False`` restores one execution
+            per job (the reference the equivalence tests compare to).
     """
 
     def __init__(self, jobs: int = 1,
@@ -581,14 +600,13 @@ class ExperimentEngine:
         self.job_timeout_s = job_timeout_s
         self.sim_mode = sim_mode
         self.chunking = chunking
-        #: Simulations actually executed (cache misses) over the
-        #: engine's lifetime.
+        #: Jobs actually executed (cache misses) over the lifetime.
         self.executed = 0
-        #: Wall-clock seconds spent inside ``run_outcomes``.
+        #: Wall-clock seconds spent inside the ``run_*`` entry points.
         self.busy_s = 0.0
         #: Outcomes returned (hits + misses) over the lifetime.
         self.jobs_completed = 0
-        #: Summed per-job simulation wall time (inside workers).
+        #: Summed per-job execution wall time (inside workers).
         self.exec_s_total = 0.0
         #: Summed submission-to-start wait of executed jobs.
         self.queue_wait_s_total = 0.0
@@ -596,15 +614,15 @@ class ExperimentEngine:
         self.worker_s_total = 0.0
         #: Failed executions that were re-submitted.
         self.retries = 0
-        #: Jobs the engine ultimately gave up on (error outcomes).
+        #: Jobs that ended as error outcomes.
         self.failures = 0
         #: Executions killed for exceeding ``job_timeout_s``.
         self.timeouts = 0
-        #: Jobs that ran as part of a collapsed execution (a pooled
-        #: SimJob chunk, or a model-eval family of more than one job).
+        #: Model-eval and advisor jobs that ran in a family of more
+        #: than one job.
         self.jobs_chunked = 0
-        #: Jobs evaluated through a stacked cross-config kernel call
-        #: (a :class:`_SimFamily` of more than one job).
+        #: Simulation jobs evaluated through a stacked cross-config
+        #: kernel call (a family of more than one job).
         self.jobs_batched = 0
         self._log = get_logger("engine")
         # Serializes whole-batch submissions so a long-lived process
@@ -618,576 +636,244 @@ class ExperimentEngine:
     # ----- execution ---------------------------------------------------------
 
     def run_outcomes(self, batch: Sequence[SimJob]) -> List[JobOutcome]:
-        """Run every job; outcomes come back in input order.
+        """Run every simulation; outcomes come back in input order.
 
         Cache hits are served without simulating; misses run serially
-        or on the process pool, then populate the cache.  Under an
-        enabled tracer the whole batch runs inside an ``engine-batch``
-        span, so job/cache spans nest under it.  Thread-safe: batches
-        submitted concurrently are serialized, in submission order.
+        or on the process pool, then populate the cache.  Thread-safe:
+        batches submitted concurrently are serialized, in submission
+        order.
         """
-        with self._submission_lock:
-            tracer = get_tracer()
-            if not tracer.enabled:
-                return self._run_outcomes_traced(batch)
-            with tracer.span("engine-batch", track="engine",
-                             jobs=str(len(batch))):
-                return self._run_outcomes_traced(batch)
-
-    def _run_outcomes_traced(self, batch: Sequence[SimJob],
-                             ) -> List[JobOutcome]:
-        """The body of :meth:`run_outcomes` (split out so the tracing
-        wrapper above stays flat)."""
-        start = time.perf_counter()
-        tracer = get_tracer()
-        outcomes: List[Optional[JobOutcome]] = [None] * len(batch)
-        miss_indices: List[int] = []
-        keys: List[Optional[str]] = [None] * len(batch)
-
-        if self.cache is not None:
-            # ONE batched cache pass (and one cache-lock acquisition)
-            # for the whole batch, instead of a disk round-trip per job.
-            lookup_span = tracer.begin("cache-lookup", track="cache",
-                                       jobs=str(len(batch)))
-            for i, job in enumerate(batch):
-                keys[i] = job.fingerprint()
-            hits = self.cache.lookup_many(
-                [key for key in keys if key is not None])
-            for i, job in enumerate(batch):
-                hit = hits.get(keys[i])
-                if hit is None:
-                    miss_indices.append(i)
-                elif isinstance(hit, OutOfMemoryError):
-                    outcomes[i] = JobOutcome(job=job, oom=hit, cached=True)
-                else:
-                    outcomes[i] = JobOutcome(job=job, result=hit,
-                                             cached=True)
-            tracer.finish(lookup_span,
-                          hits=str(len(batch) - len(miss_indices)))
-        else:
-            miss_indices = list(range(len(batch)))
-
-        miss_jobs = [self._job_for_execution(batch[i])
-                     for i in miss_indices]
-        workers = 1
-        retries_before = self.retries
-        timeouts_before = self.timeouts
-        if miss_jobs:
-            submitted_unix = time.time()
-            tagged_results, attempt_counts, workers = \
-                self._execute_misses(miss_jobs)
-            self.executed += len(miss_jobs)
-            store_entries: List[Tuple[str, object]] = []
-            for i, tagged, attempts in zip(miss_indices, tagged_results,
-                                           attempt_counts):
-                outcome = _outcome_from_tagged(batch[i], tagged,
-                                               submitted_unix,
-                                               attempts=attempts)
-                outcomes[i] = outcome
-                self.exec_s_total += outcome.exec_s
-                self.queue_wait_s_total += outcome.queue_wait_s
-                # Engine failures are environmental (a killed worker, a
-                # hung process) — never cached, so a later run retries.
-                if self.cache is not None and not outcome.failed:
-                    key = keys[i]
-                    assert key is not None
-                    store_entries.append(
-                        (key, outcome.result if outcome.ok
-                         else outcome.oom))
-            if store_entries:
-                # One batched store: a single pack append + fsync for
-                # every miss the batch produced.
-                with tracer.span("cache-store", track="cache",
-                                 entries=str(len(store_entries))):
-                    self.cache.store_many(store_entries)  # type: ignore[arg-type]
-
-        batch_wall = time.perf_counter() - start
-        self.busy_s += batch_wall
-        if miss_jobs:
-            self.worker_s_total += workers * batch_wall
-        self.jobs_completed += len(batch)
-        self._record_batch(outcomes,
-                           retries_delta=self.retries - retries_before,
-                           timeouts_delta=self.timeouts - timeouts_before)
-        return [o for o in outcomes if o is not None]
-
-    def _execute_misses(self, miss_jobs: Sequence[SimJob],
-                        ) -> Tuple[List[tuple], List[int], int]:
-        """Execute cache misses, family-batching where profitable.
-
-        Misses whose effective mode allows the batch kernel are grouped
-        by :meth:`SimJob.family_key`; families of two or more run as one
-        stacked kernel call each (:func:`_execute_sim_family`), pooled
-        one-per-task when ``jobs > 1``.  Everything else — explicit
-        event-mode jobs, family singletons, all misses under
-        ``chunking=False`` — flows through the existing serial /
-        chunked / parallel machinery.  Returns ``(tagged results,
-        attempt counts, peak worker count)`` aligned with
-        ``miss_jobs``.
-        """
-        families, leftover = self._sim_families(miss_jobs)
-        tagged: List[Optional[tuple]] = [None] * len(miss_jobs)
-        attempts: List[int] = [1] * len(miss_jobs)
-        workers = 1
-        if families:
-            fams = [_SimFamily(tuple(miss_jobs[k] for k in group))
-                    for group in families]
-            if self.jobs > 1:
-                # A pooled engine keeps pool semantics even for a lone
-                # family: execution (and the chaos hooks) must never
-                # run in the parent process.
-                fam_workers = min(self.jobs, len(fams),
-                                  (os.cpu_count() or 1))
-                workers = max(workers, fam_workers)
-                fam_tags, fam_attempts = self._run_parallel(
-                    fams, fam_workers, execute_fn=_execute_sim_family)
-            else:
-                fam_tags, fam_attempts = self._run_serial(
-                    fams, execute_fn=_execute_sim_family)
-            batched = 0
-            for group, tag, att in zip(families, fam_tags, fam_attempts):
-                if tag[0] == "chunk":
-                    for k, member_tag in zip(group, tag[1]):
-                        tagged[k] = member_tag
-                else:  # whole-family failure: members share the error
-                    for k in group:
-                        tagged[k] = tag
-                    # The run paths count one failure per *item*; a
-                    # family item degrades every member job.
-                    self.failures += len(group) - 1
-                for k in group:
-                    attempts[k] = att
-                batched += len(group)
-            self.jobs_batched += batched
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("engine_jobs_batched_total").inc(batched)
-        if leftover:
-            rest = [miss_jobs[k] for k in leftover]
-            if self.jobs > 1 and len(rest) > 1:
-                rest_workers = min(self.jobs, len(rest),
-                                   (os.cpu_count() or 1))
-                workers = max(workers, rest_workers)
-                chunk_size = self._chunk_size(len(rest), rest_workers)
-                if chunk_size > 1:
-                    rest_tags, rest_attempts = self._run_chunked(
-                        rest, rest_workers, chunk_size)
-                else:
-                    rest_tags, rest_attempts = self._run_parallel(
-                        rest, rest_workers)
-            else:
-                rest_tags, rest_attempts = self._run_serial(rest)
-            for k, tag, att in zip(leftover, rest_tags, rest_attempts):
-                tagged[k] = tag
-                attempts[k] = att
-        return tagged, attempts, workers  # type: ignore[return-value]
-
-    def _sim_families(self, miss_jobs: Sequence[SimJob],
-                      ) -> Tuple[List[List[int]], List[int]]:
-        """Partition miss positions into batchable families and the rest.
-
-        Only jobs whose *effective* mode permits the batch kernel are
-        candidates (an explicit ``"event"`` job — its own or the
-        engine's override — must run the event loop it asked for), and
-        only families of two or more are worth a stacked call.
-        """
-        if not self.chunking or self.job_timeout_s is not None:
-            # Like chunking, family batching is incompatible with a
-            # per-job timeout: the budget is per pool submission and
-            # must keep meaning per job.
-            return [], list(range(len(miss_jobs)))
-        groups: Dict[str, List[int]] = {}
-        leftover: List[int] = []
-        for k, job in enumerate(miss_jobs):
-            if job.sim_mode == "event":
-                leftover.append(k)
-            else:
-                groups.setdefault(job.family_key(), []).append(k)
-        families: List[List[int]] = []
-        for members in groups.values():
-            if len(members) >= 2:
-                families.append(members)
-            else:
-                leftover.extend(members)
-        leftover.sort()
-        return families, leftover
-
-    def _job_for_execution(self, job: SimJob) -> SimJob:
-        """Apply the engine's simulation-mode override to one job.
-
-        An engine-level ``"event"``/``"batch"`` wins over a job that
-        left its own mode at ``"auto"``; a job that chose explicitly
-        keeps its choice.  Fingerprints are unaffected (``sim_mode`` is
-        not hashed), so the cache lookup already done against the
-        original job stays valid.
-        """
-        if self.sim_mode != "auto" and job.sim_mode == "auto":
-            return replace(job, sim_mode=self.sim_mode)
-        return job
-
-    # ----- closed-form model evaluations -------------------------------------
+        return self._run_batch(batch, _SIM_KIND)
 
     def run_model_outcomes(self, batch: Sequence[ModelEvalJob],
                            ) -> List[ModelEvalOutcome]:
         """Evaluate model jobs; outcomes come back in input order.
 
-        Cache hits are served per point.  Misses are grouped into
-        *families* (equal :meth:`ModelEvalJob.family_key` — jobs that
-        differ only along vectorizable axes) and each family runs the
-        grid kernel **once**: in-process when serial, one pool task per
-        family when ``jobs > 1``.  Results fan back out to per-point
-        outcomes and per-point cache entries, so fingerprints and
-        cached bytes are exactly what per-job evaluation would have
-        produced; ``chunking=False`` falls back to evaluating each job
-        individually.  Thread-safe: concurrent submissions serialize on
-        the engine's reentrant submission lock.
+        Each family of misses (equal :meth:`ModelEvalJob.family_key` —
+        jobs that differ only along vectorizable axes) runs the grid
+        kernel **once**; results fan back out to per-point outcomes and
+        per-point cache entries, so fingerprints and cached bytes are
+        exactly what per-job evaluation would have produced.  A failing
+        point fails alone.  Thread-safe, like :meth:`run_outcomes`.
         """
-        with self._submission_lock:
-            return self._run_eval_batch(
-                batch, hit_type=PredictedTime, outcome_cls=ModelEvalOutcome,
-                family_fn=evaluate_family, pool_fn=_execute_model_family)
+        return self._run_batch(batch, _MODEL_KIND)
 
     def run_advisor_outcomes(self, batch: Sequence[AdvisorShardJob],
                              ) -> List[AdvisorShardOutcome]:
         """Evaluate advisor pricing shards; outcomes in input order.
 
-        Same contract and machinery as :meth:`run_model_outcomes` —
-        per-shard cache entries, candidate families pooled one task
-        each — except a family's members each run their own bounded
-        grid call instead of fusing into one
+        Same contract as :meth:`run_model_outcomes`, except a family's
+        members each run their own bounded grid call instead of fusing
+        into one
         (:func:`~repro.engine.advisorjobs.evaluate_advisor_family`).
-        Thread-safe and reentrant: the advisor pricer may run inside a
-        scheduler batch that already holds the submission lock.
+        Reentrant: the advisor pricer may run inside a scheduler batch
+        that already holds the submission lock.
         """
+        return self._run_batch(batch, _ADVISOR_KIND)
+
+    def run(self, job: SimJob) -> TimingResult:
+        """Run one job; raises the stored OOM like the raw simulator."""
+        return self.run_outcomes([job])[0].unwrap()
+
+    def _run_batch(self, batch: Sequence, kind: _JobKind) -> List:
+        """The one batch body: one batched cache lookup, misses grouped
+        and run through the retry loop, one batched store, one
+        telemetry record — all inside an ``engine-batch`` span."""
         with self._submission_lock:
-            return self._run_eval_batch(
-                batch, hit_type=AdvisorShardResult,
-                outcome_cls=AdvisorShardOutcome,
-                family_fn=evaluate_advisor_family,
-                pool_fn=_execute_advisor_family)
+            tracer = get_tracer()
+            with tracer.span("engine-batch", track="engine",
+                             jobs=str(len(batch))):
+                start = time.perf_counter()
+                before = self._delta_counters()
+                outcomes: List = [None] * len(batch)
+                keys: List[str] = []
+                if self.cache is not None:
+                    with tracer.span("cache-lookup", track="cache",
+                                     jobs=str(len(batch))) as span:
+                        keys = [job.fingerprint() for job in batch]
+                        hits = self.cache.lookup_many(keys)
+                        for i, job in enumerate(batch):
+                            hit = hits.get(keys[i])
+                            if isinstance(hit, kind.hit_types):
+                                outcomes[i] = kind.outcome(
+                                    job, "ok", hit, cached=True)
+                        span.annotate(hits=str(len(batch) - outcomes.count(
+                            None)))
+                misses = [i for i, o in enumerate(outcomes) if o is None]
+                workers = 1
+                if misses:
+                    workers = self._run_misses(batch, misses, keys, kind,
+                                               outcomes)
+                wall = time.perf_counter() - start
+                self.busy_s += wall
+                if misses:
+                    self.worker_s_total += workers * wall
+                self.jobs_completed += len(batch)
+                self._record_batch(outcomes, before)
+                return outcomes
 
-    def _run_eval_batch(self, batch: Sequence, hit_type: type,
-                        outcome_cls: type, family_fn: Callable,
-                        pool_fn: Callable) -> List:
-        """Shared body of the closed-form batch entry points, lock held.
+    def _run_misses(self, batch: Sequence, misses: Sequence[int],
+                    keys: Sequence[str], kind: _JobKind,
+                    outcomes: List) -> int:
+        """Execute ``batch[misses]`` into ``outcomes`` and store them;
+        returns the worker count used.
 
-        ``hit_type`` screens cache hits (a key collision with another
-        outcome kind reads as a miss), ``outcome_cls`` wraps results
-        (:class:`ModelEvalOutcome` / :class:`AdvisorShardOutcome` share
-        a constructor), ``family_fn`` evaluates one family in-process
-        and ``pool_fn`` is its process-pool entry point.
+        The pool is used iff ``jobs > 1`` and there are two or more
+        misses, so a lone family at ``jobs > 1`` still never runs in
+        the parent process.  The core count only caps the pool size.
         """
-        start = time.perf_counter()
-        jobs = list(batch)
-        outcomes: List[Optional[object]] = [None] * len(jobs)
-        keys: List[Optional[str]] = [None] * len(jobs)
-        miss_indices: List[int] = []
-        if self.cache is not None:
-            # Same batched single-pass lookup as run_outcomes.
-            for i, job in enumerate(jobs):
-                keys[i] = job.fingerprint()
-            hits = self.cache.lookup_many(
-                [key for key in keys if key is not None])
-            for i, job in enumerate(jobs):
-                hit = hits.get(keys[i])
-                if isinstance(hit, hit_type):
-                    outcomes[i] = outcome_cls(job=job, result=hit,
-                                              cached=True)
-                else:
-                    miss_indices.append(i)
+        jobs = [self._job_for_execution(batch[i]) for i in misses]
+        groups = self._groups(jobs)
+        units = [_Group(tuple(jobs[k] for k in group), kind.execute)
+                 for group in groups]
+        submitted_unix = time.time()
+        if self.jobs > 1 and len(misses) > 1:
+            workers = min(self.jobs, len(units), os.cpu_count() or 1)
+            results, attempt_counts = self._run_parallel(units, workers)
         else:
-            miss_indices = list(range(len(jobs)))
-
-        groups: List[List[int]]
-        if self.chunking:
-            families: Dict[str, List[int]] = {}
-            for i in miss_indices:
-                families.setdefault(jobs[i].family_key(), []).append(i)
-            groups = list(families.values())
-        else:
-            groups = [[i] for i in miss_indices]
-        chunked = sum(len(group) for group in groups if len(group) > 1)
-
-        workers = 1
-        if groups:
-            if self.jobs > 1 and len(groups) > 1:
-                workers = min(self.jobs, len(groups), (os.cpu_count() or 1))
-                evaluated = self._eval_families_pooled(
-                    jobs, groups, workers, family_fn=family_fn,
-                    pool_fn=pool_fn)
-            else:
-                evaluated = [self._eval_family_inprocess(jobs, group,
-                                                         family_fn)
-                             for group in groups]
-            self.executed += len(miss_indices)
-            self.jobs_chunked += chunked
-            store_entries: List[Tuple[str, object]] = []
-            for group, (results, errors, elapsed) in zip(groups, evaluated):
-                share = elapsed / len(group)
-                for offset, i in enumerate(group):
-                    outcome = outcome_cls(
-                        job=jobs[i], result=results[offset],
-                        error=errors[offset], exec_s=share)
-                    outcomes[i] = outcome
-                    self.exec_s_total += share
-                    # Evaluation failures (bad configurations) are never
-                    # cached; re-running reports them afresh.
-                    if self.cache is not None and outcome.ok:
-                        key = keys[i]
-                        assert key is not None
-                        store_entries.append((key, outcome.result))
-            if self.cache is not None and store_entries:
-                # One pack append + fsync for the whole batch.
-                self.cache.store_many(store_entries)
-
-        batch_wall = time.perf_counter() - start
-        self.busy_s += batch_wall
-        if miss_indices:
-            self.worker_s_total += workers * batch_wall
-        self.jobs_completed += len(jobs)
-        self._record_model_batch(outcomes, chunked)
-        return [o for o in outcomes if o is not None]
-
-    def _eval_family_inprocess(self, jobs: Sequence,
-                               group: Sequence[int],
-                               family_fn: Callable = evaluate_family,
-                               ) -> Tuple[List[Optional[object]],
-                                          List[Optional[Exception]], float]:
-        """One family, one ``family_fn`` call, in this process.
-
-        If the family call raises, fall back to per-point evaluation so
-        only the offending job(s) fail — the rest of the family still
-        produces results.
-        """
-        members = [jobs[i] for i in group]
-        tracer = get_tracer()
-        family_span = tracer.begin(f"grid-family x{len(members)}",
-                                   track="engine", size=str(len(members)))
-        started = time.perf_counter()
-        try:
-            results: List[Optional[object]] = list(family_fn(members))
-            errors: List[Optional[Exception]] = [None] * len(members)
-        except Exception:  # noqa: BLE001 - isolated per point below
-            results, errors = [], []
-            for job in members:
-                try:
-                    results.append(job.evaluate())
-                    errors.append(None)
-                except Exception as exc:  # noqa: BLE001 - reported per job
-                    results.append(None)
-                    errors.append(exc)
+            workers = 1
+            results, attempt_counts = self._run_serial(units)
+        self.executed += len(misses)
+        setattr(self, kind.grouped, getattr(self, kind.grouped) + sum(
+            len(group) for group in groups if len(group) > 1))
+        store: List[Tuple[str, object]] = []
+        for group, tags, attempts in zip(groups, results, attempt_counts):
+            for k, (status, payload, exec_s, started_unix) in zip(group, tags):
+                i = misses[k]
+                outcome = kind.outcome(
+                    batch[i], status, payload, exec_s=exec_s,
+                    queue_wait_s=max(0.0, started_unix - submitted_unix),
+                    attempts=attempts)
+                outcomes[i] = outcome
+                self.exec_s_total += outcome.exec_s
+                self.queue_wait_s_total += outcome.queue_wait_s
+                if status == "error":
+                    # Final either way: an executor's error tag is
+                    # deterministic, an engine give-up environmental.
+                    # Neither is cached, so a later run re-executes.
                     self.failures += 1
-                    self._log.warning(
-                        "engine.model_job_failed", job=job.describe(),
-                        reason=f"{type(exc).__name__}: {exc}")
-        tracer.finish(family_span)
-        return results, errors, time.perf_counter() - started
+                    self._log.warning("engine.job_failed",
+                                      job=batch[i].describe(),
+                                      attempts=attempts, reason=str(payload))
+                elif self.cache is not None:
+                    store.append((keys[i], payload))
+        if store:
+            # One batched store: a single pack append + fsync for
+            # every miss the batch produced.
+            with get_tracer().span("cache-store", track="cache",
+                                   entries=str(len(store))):
+                self.cache.store_many(store)  # type: ignore[union-attr]
+        return workers
 
-    def _eval_families_pooled(self, jobs: Sequence,
-                              groups: Sequence[Sequence[int]], workers: int,
-                              family_fn: Callable = evaluate_family,
-                              pool_fn: Callable = _execute_model_family,
-                              ) -> List[Tuple[List[Optional[object]],
-                                              List[Optional[Exception]],
-                                              float]]:
-        """One pool task per family; any failed task (a died worker, a
-        bad configuration) falls back to in-process evaluation of that
-        family, so pooled evaluation can only add speed, not failure
-        modes."""
-        tracer = get_tracer()
-        evaluated = []
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = []
-            fam_spans: List[Optional[object]] = []
-            for group in groups:
-                members = tuple(jobs[i] for i in group)
-                if tracer.enabled:
-                    span = tracer.begin(f"grid-family x{len(group)}",
-                                        track="engine",
-                                        size=str(len(group)))
-                    fam_spans.append(span)
-                    futures.append(pool.submit(
-                        _traced_call,
-                        (tracer.trace_id, span.span_id, time.time()),
-                        pool_fn, members))
-                else:
-                    fam_spans.append(None)
-                    futures.append(pool.submit(pool_fn, members))
-            for group, future, span in zip(groups, futures, fam_spans):
-                try:
-                    out = future.result()
-                    if span is not None:
-                        out, spans = out
-                        tracer.merge(spans)
-                    results, elapsed = out
-                except Exception as exc:  # noqa: BLE001 - incl. broken pool
-                    self._log.warning(
-                        "engine.model_family_retry", size=len(group),
-                        reason=f"{type(exc).__name__}: {exc}")
-                    evaluated.append(
-                        self._eval_family_inprocess(jobs, group, family_fn))
-                    continue
-                finally:
-                    if span is not None:
-                        tracer.finish(span)
-                evaluated.append((list(results), [None] * len(group),
-                                  elapsed))
-        finally:
-            self._kill_pool(pool)
-        return evaluated
+    def _groups(self, misses: Sequence) -> List[List[int]]:
+        """Partition miss positions into execution groups.
 
-    def _record_model_batch(self,
-                            outcomes: Sequence[Optional[ModelEvalOutcome]],
-                            chunked: int) -> None:
-        """Mirror one model-eval batch's outcomes into telemetry."""
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            registry.counter(
-                "engine_jobs_total",
-                cached=str(outcome.cached).lower()).inc()
-            if outcome.error is not None:
-                registry.counter("engine_failed_jobs_total").inc()
-        if chunked:
-            registry.counter("engine_jobs_chunked_total").inc(chunked)
-
-    # ----- miss execution (serial / pooled, with retries) --------------------
-
-    def _run_serial(self, miss_jobs: Sequence,
-                    execute_fn: Optional[Callable] = None,
-                    ) -> Tuple[List[tuple], List[int]]:
-        """Execute misses in-process, retrying unexpected exceptions.
-
-        Returns ``(tagged results, attempt counts)`` aligned with
-        ``miss_jobs``.  OOM never retries (it comes back as a tagged
-        value, not an exception); anything else gets ``max_retries``
-        fresh attempts with exponential backoff before degrading to an
-        ``("error", ...)`` tag.
+        A pure function of the misses and of ``chunking`` /
+        ``job_timeout_s`` — never of the host or of ``jobs``: without
+        chunking or under a per-job timeout every job is its own group;
+        otherwise jobs group by ``family_key()`` in first-appearance
+        order, except that a simulation whose effective mode is
+        ``"event"`` runs the event loop it asked for, alone.
         """
-        if execute_fn is None:
-            # Resolved at call time so tests can monkeypatch the
-            # module-level _execute_job.
-            execute_fn = _execute_job
+        if not self.chunking or self.job_timeout_s is not None:
+            return [[k] for k in range(len(misses))]
+        groups: Dict[object, List[int]] = {}
+        for k, job in enumerate(misses):
+            event = isinstance(job, SimJob) and job.sim_mode == "event"
+            groups.setdefault(k if event else job.family_key(), []).append(k)
+        return list(groups.values())
+
+    def _job_for_execution(self, job):
+        """Apply the engine's simulation-mode override to one job.
+
+        An engine-level ``"event"``/``"batch"`` wins over a simulation
+        that left its own mode at ``"auto"``; a job that chose
+        explicitly keeps its choice.  Fingerprints are unaffected
+        (``sim_mode`` is not hashed), so the cache lookup already done
+        against the original job stays valid.
+        """
+        if (isinstance(job, SimJob) and self.sim_mode != "auto"
+                and job.sim_mode == "auto"):
+            return replace(job, sim_mode=self.sim_mode)
+        return job
+
+    # ----- group execution (serial / pooled, with retries) -------------------
+
+    def _run_serial(self, groups: Sequence[_Group],
+                    ) -> Tuple[List[List[Tag]], List[int]]:
+        """Execute groups in-process, retrying unexpected exceptions.
+
+        Returns ``(member tags, attempt count)`` per group.  An
+        exception escaping the executor gets ``max_retries`` fresh
+        attempts with exponential backoff before every member degrades
+        to an ``("error", ...)`` tag.
+        """
         tracer = get_tracer()
-        tagged: List[tuple] = []
+        results: List[List[Tag]] = []
         attempt_counts: List[int] = []
-        for job in miss_jobs:
+        for group in groups:
             attempt = 1
-            job_span = None
+            span = None
             if tracer.enabled:
-                job_span = tracer.begin(_payload_label(job), track="engine")
+                span = tracer.begin(group.describe(), track="engine")
             while True:
                 try:
-                    if job_span is not None:
-                        result, spans = _traced_call(
-                            (tracer.trace_id, job_span.span_id,
-                             time.time()),
-                            execute_fn, job)
+                    if span is not None:
+                        tags, spans = _traced_call(
+                            (tracer.trace_id, span.span_id, time.time()),
+                            group)
                         tracer.merge(spans)
                     else:
-                        result = execute_fn(job)
+                        tags = _execute_group(group)
                     break
                 except Exception as exc:  # noqa: BLE001 - retried below
                     reason = f"{type(exc).__name__}: {exc}"
                     if attempt > self.max_retries:
-                        self.failures += 1
-                        self._log.warning("engine.job_failed",
-                                          job=job.describe(),
-                                          attempts=attempt, reason=reason)
-                        result = ("error", reason, 0.0, time.time())
+                        tags = _error_tags(group, reason)
                         break
                     self.retries += 1
                     self._log.warning("engine.job_retry",
-                                      job=job.describe(),
+                                      job=group.describe(),
                                       attempt=attempt, reason=reason)
                     time.sleep(self.retry_backoff_s * 2 ** (attempt - 1))
                     attempt += 1
-            tagged.append(result)
+            results.append(tags)
             attempt_counts.append(attempt)
-            if job_span is not None:
-                tracer.finish(job_span, attempts=str(attempt),
-                              outcome=result[0])
-        return tagged, attempt_counts
+            if span is not None:
+                tracer.finish(span, attempts=str(attempt),
+                              outcome=_status_label(tags))
+        return results, attempt_counts
 
-    def _chunk_size(self, n_misses: int, workers: int) -> int:
-        """How many consecutive misses one pool submission should carry.
+    def _run_parallel(self, groups: Sequence[_Group], workers: int,
+                      ) -> Tuple[List[List[Tag]], List[int]]:
+        """Execute groups on a process pool that survives dying workers.
 
-        Targets ~4 chunks per worker (enough slack for load balancing)
-        and degrades to 1 — no chunking — for small batches, when
-        chunking is disabled, or under a per-job timeout (whose budget
-        accounting is per submission and must keep meaning per job).
-        """
-        if not self.chunking or self.job_timeout_s is not None:
-            return 1
-        return max(1, math.ceil(n_misses / (workers * 4)))
-
-    def _run_chunked(self, miss_jobs: Sequence[SimJob], workers: int,
-                     chunk_size: int) -> Tuple[List[tuple], List[int]]:
-        """Pool path for large batches: submit misses in chunks.
-
-        Retry/failure machinery operates on whole chunks (a crashed
-        worker retries its chunk's jobs together; a chunk that exhausts
-        the retry budget degrades every member to an error outcome).
-        Per-job tags come back exactly as on the unchunked path, in
-        order.
-        """
-        chunks = [_JobChunk(tuple(miss_jobs[i:i + chunk_size]))
-                  for i in range(0, len(miss_jobs), chunk_size)]
-        chunk_tags, chunk_attempts = self._run_parallel(
-            chunks, workers, execute_fn=_execute_job_chunk)
-        tagged: List[tuple] = []
-        attempt_counts: List[int] = []
-        for chunk, tag, attempts in zip(chunks, chunk_tags, chunk_attempts):
-            if tag[0] == "chunk":
-                tagged.extend(tag[1])
-            else:  # whole-chunk failure: members share the error tag
-                tagged.extend([tag] * len(chunk.jobs))
-            attempt_counts.extend([attempts] * len(chunk.jobs))
-        self.jobs_chunked += len(miss_jobs)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("engine_jobs_chunked_total").inc(len(miss_jobs))
-        return tagged, attempt_counts
-
-    def _run_parallel(self, miss_jobs: Sequence, workers: int,
-                      execute_fn: Optional[Callable] = None,
-                      ) -> Tuple[List[tuple], List[int]]:
-        """Execute misses on a process pool that survives dying workers.
-
-        Jobs are submitted in waves; a wave's survivors that failed
+        Groups are submitted in waves; a wave's survivors that failed
         (``BrokenProcessPool``, an exception, or a blown
         ``job_timeout_s`` deadline) are retried in the next wave after
         exponential backoff, until their attempt budget runs out.  A
         broken or deadlocked pool is killed and rebuilt between waves,
-        and jobs that were merely queued behind a hung one are
+        and groups that were merely queued behind a hung one are
         resubmitted without it counting against their budget.  Results
-        come back aligned with ``miss_jobs`` regardless of completion
+        come back aligned with ``groups`` regardless of completion
         order.
         """
-        if execute_fn is None:
-            # Resolved at call time so tests can monkeypatch the
-            # module-level _execute_job.
-            execute_fn = _execute_job
         tracer = get_tracer()
-        tagged: List[Optional[tuple]] = [None] * len(miss_jobs)
-        attempt_counts = [0] * len(miss_jobs)
-        # One open job span per item while traced; a retried item keeps
+        results: List[Optional[List[Tag]]] = [None] * len(groups)
+        attempt_counts = [0] * len(groups)
+        # One open span per group while traced; a retried group keeps
         # its span (attempts land as sibling children under it), and the
-        # span closes at the moment its tag becomes final.
-        job_spans: List[Optional[object]] = [None] * len(miss_jobs)
+        # span closes at the moment its tags become final.
+        spans: List[Optional[object]] = [None] * len(groups)
 
         def _close_span(idx: int) -> None:
-            span = job_spans[idx]
-            if span is not None and tagged[idx] is not None:
+            span = spans[idx]
+            if span is not None and results[idx] is not None:
                 tracer.finish(span, attempts=str(attempt_counts[idx]),
-                              outcome=tagged[idx][0])
-                job_spans[idx] = None
+                              outcome=_status_label(results[idx]))
+                spans[idx] = None
 
-        pending = list(range(len(miss_jobs)))
+        pending = list(range(len(groups)))
         wave = 0
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
@@ -1201,20 +887,19 @@ class ExperimentEngine:
                 for k, idx in enumerate(pending):
                     attempt_counts[idx] += 1
                     if tracer.enabled:
-                        if job_spans[idx] is None:
-                            job_spans[idx] = tracer.begin(
-                                _payload_label(miss_jobs[idx]),
-                                track="engine")
+                        if spans[idx] is None:
+                            spans[idx] = tracer.begin(
+                                groups[idx].describe(), track="engine")
                         future = pool.submit(
                             _traced_call,
-                            (tracer.trace_id, job_spans[idx].span_id,
+                            (tracer.trace_id, spans[idx].span_id,
                              time.time()),
-                            execute_fn, miss_jobs[idx])
+                            groups[idx])
                     else:
-                        future = pool.submit(execute_fn, miss_jobs[idx])
+                        future = pool.submit(_execute_group, groups[idx])
                     future_to_idx[future] = idx
                     if self.job_timeout_s is not None:
-                        # Queue position k lands ~(k // workers) jobs
+                        # Queue position k lands ~(k // workers) groups
                         # deep on its worker; grant a budget per slot so
                         # queue wait is not charged against the job.
                         deadlines[future] = now + self.job_timeout_s * (
@@ -1235,17 +920,17 @@ class ExperimentEngine:
                         try:
                             result = future.result()
                             if tracer.enabled:
-                                result, spans = result
-                                tracer.merge(spans)
-                            tagged[idx] = result
+                                result, worker_spans = result
+                                tracer.merge(worker_spans)
+                            results[idx] = result
                         except BrokenProcessPool:
                             broken = True
                             self._register_failure(
-                                idx, attempt_counts, miss_jobs, tagged,
+                                idx, attempt_counts, groups, results,
                                 retry, "a pool worker died")
                         except Exception as exc:  # noqa: BLE001
                             self._register_failure(
-                                idx, attempt_counts, miss_jobs, tagged,
+                                idx, attempt_counts, groups, results,
                                 retry, f"{type(exc).__name__}: {exc}")
                         _close_span(idx)
                     if broken:
@@ -1254,7 +939,7 @@ class ExperimentEngine:
                         for future in not_done:
                             self._register_failure(
                                 future_to_idx[future], attempt_counts,
-                                miss_jobs, tagged, retry,
+                                groups, results, retry,
                                 "a pool worker died")
                             _close_span(future_to_idx[future])
                         not_done = set()
@@ -1267,15 +952,15 @@ class ExperimentEngine:
                                 idx = future_to_idx[future]
                                 self.timeouts += 1
                                 self._register_failure(
-                                    idx, attempt_counts, miss_jobs,
-                                    tagged, retry,
+                                    idx, attempt_counts, groups,
+                                    results, retry,
                                     f"timed out after "
                                     f"{self.job_timeout_s:g} s")
                                 _close_span(idx)
                                 not_done.discard(future)
                         # The hung worker still holds its process; only a
-                        # pool teardown reclaims it.  Collateral jobs are
-                        # resubmitted for free.
+                        # pool teardown reclaims it.  Collateral groups
+                        # are resubmitted for free.
                         for future in not_done:
                             idx = future_to_idx[future]
                             attempt_counts[idx] -= 1
@@ -1290,25 +975,22 @@ class ExperimentEngine:
             self._kill_pool(pool)
             if tracer.enabled:
                 # Safety net for abnormal exits: no span stays open.
-                for idx in range(len(miss_jobs)):
+                for idx in range(len(groups)):
                     _close_span(idx)
-        return tagged, attempt_counts  # type: ignore[return-value]
+        return results, attempt_counts  # type: ignore[return-value]
 
     def _register_failure(self, idx: int, attempt_counts: List[int],
-                          miss_jobs: Sequence,
-                          tagged: List[Optional[tuple]],
+                          groups: Sequence[_Group],
+                          results: List[Optional[List[Tag]]],
                           retry: List[int], reason: str) -> None:
         """Route one failed execution: resubmit it, or give up and
-        degrade it to an ``("error", ...)`` outcome."""
-        job = miss_jobs[idx]
+        degrade every member to an ``("error", ...)`` tag."""
+        group = groups[idx]
         if attempt_counts[idx] > self.max_retries:
-            self.failures += 1
-            self._log.warning("engine.job_failed", job=job.describe(),
-                              attempts=attempt_counts[idx], reason=reason)
-            tagged[idx] = ("error", reason, 0.0, time.time())
+            results[idx] = _error_tags(group, reason)
         else:
             self.retries += 1
-            self._log.warning("engine.job_retry", job=job.describe(),
+            self._log.warning("engine.job_retry", job=group.describe(),
                               attempt=attempt_counts[idx], reason=reason)
             retry.append(idx)
 
@@ -1321,40 +1003,38 @@ class ExperimentEngine:
             if proc.is_alive():
                 proc.terminate()
 
-    def _record_batch(self, outcomes: Sequence[Optional[JobOutcome]],
-                      retries_delta: int = 0,
-                      timeouts_delta: int = 0) -> None:
-        """Mirror one batch's outcomes into the telemetry registry."""
+    # ----- statistics --------------------------------------------------------
+
+    def _delta_counters(self) -> Tuple[int, ...]:
+        """The counters :meth:`_record_batch` mirrors as deltas."""
+        return tuple(getattr(self, name) for name, _ in _DELTA_COUNTERS)
+
+    def _record_batch(self, outcomes: Sequence, before: Tuple[int, ...],
+                      ) -> None:
+        """Mirror one batch's outcomes, and the counter deltas since
+        ``before``, into the telemetry registry."""
         registry = get_registry()
         if not registry.enabled:
             return
         for outcome in outcomes:
-            if outcome is None:
-                continue
             registry.counter(
                 "engine_jobs_total",
                 cached=str(outcome.cached).lower()).inc()
-            if outcome.oom is not None:
+            if getattr(outcome, "oom", None) is not None:
                 registry.counter("engine_oom_outcomes_total").inc()
-            if outcome.failed:
+            if outcome.error is not None:
                 registry.counter("engine_failed_jobs_total").inc()
             if not outcome.cached:
                 registry.histogram("engine_job_exec_s").observe(
                     outcome.exec_s)
                 registry.histogram("engine_queue_wait_s").observe(
                     outcome.queue_wait_s)
-        if retries_delta:
-            registry.counter("engine_retries_total").inc(retries_delta)
-        if timeouts_delta:
-            registry.counter("engine_timeouts_total").inc(timeouts_delta)
+        for (_, metric), now, then in zip(_DELTA_COUNTERS,
+                                          self._delta_counters(), before):
+            if now > then:
+                registry.counter(metric).inc(now - then)
         registry.gauge("engine_pool_utilization").set(
             self.stats().pool_utilization)
-
-    def run(self, job: SimJob) -> TimingResult:
-        """Run one job; raises the stored OOM like the raw simulator."""
-        return self.run_outcomes([job])[0].unwrap()
-
-    # ----- statistics --------------------------------------------------------
 
     @property
     def cache_stats(self) -> CacheStats:

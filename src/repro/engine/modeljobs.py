@@ -12,10 +12,11 @@ microseconds.  Running them as engine jobs still pays off twice:
   (bandwidth, world size, batch size, compute factor, or the Figure-13
   ``k``/``l`` pair) share a :meth:`ModelEvalJob.family_key`.  The engine
   collapses each family into **one** grid-kernel call
-  (:mod:`repro.core.grid`) — and, on the pool path, one worker
-  invocation — then fans the cells back out to per-point outcomes and
-  per-point cache entries.  Chunking never changes fingerprints or
-  cached bytes; it only amortizes IPC, hashing, and cache I/O.
+  (:mod:`repro.core.grid`) — one execution of its shared group path,
+  in-process or on a pool worker — then fans the cells back out to
+  per-point outcomes and per-point cache entries.  Chunking never
+  changes fingerprints or cached bytes; it only amortizes IPC, hashing,
+  and cache I/O.
 
 The bit-identity contract of :mod:`repro.core.grid` makes the collapse
 safe: a family evaluated through the grid kernel yields cells
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +55,12 @@ from .fingerprint import (
     profile_fingerprint,
     scheme_fingerprint,
 )
+
+#: What a family executor reports for one member job: ``(status,
+#: payload, exec_s, started_unix)``.  Status ``"ok"`` carries the
+#: result, ``"oom"`` a deterministic :class:`~repro.errors.OutOfMemoryError`
+#: and ``"error"`` the failure (an exception, or the engine's reason).
+Tag = Tuple[str, object, float, float]
 
 
 def _gpu_payload(gpu: GPUSpec) -> Dict[str, Any]:
@@ -205,9 +212,12 @@ class ModelEvalOutcome:
     """What one model evaluation produced.
 
     ``exec_s`` is the job's share of its family's evaluation wall time
-    (0 for cache hits); ``error`` carries the exception of a failed
-    evaluation (an invalid configuration, typically) so sweep code can
-    re-raise it at the offending point.
+    (0 for cache hits), ``queue_wait_s`` its family's submission-to-start
+    wait and ``attempts`` its executions, as on
+    :class:`~repro.engine.engine.JobOutcome`; ``error`` carries the
+    exception of a failed evaluation (an invalid configuration,
+    typically, or the engine's :class:`~repro.errors.EngineError`) so
+    sweep code can re-raise it at the offending point.
     """
 
     job: ModelEvalJob
@@ -215,6 +225,8 @@ class ModelEvalOutcome:
     error: Optional[Exception] = None
     cached: bool = False
     exec_s: float = 0.0
+    queue_wait_s: float = 0.0
+    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -269,14 +281,36 @@ def evaluate_family(jobs: Sequence[ModelEvalJob]) -> List[PredictedTime]:
     return [grid.at(i) for i in range(len(jobs))]
 
 
-def _execute_model_family(jobs: Sequence[ModelEvalJob],
-                          ) -> Tuple[List[PredictedTime], float]:
-    """Process-pool entry point: one family, one grid call.
+def _execute_isolated(family_fn: Callable[[Sequence], List],
+                      jobs: Sequence) -> List[Tag]:
+    """Evaluate one family with ``family_fn``, isolating failures.
 
-    Exceptions propagate to the parent, which falls back to in-process
-    per-point evaluation (isolating the offending job instead of
-    failing the family wholesale).
+    If the family call raises, fall back to per-point evaluation so
+    only the offending job(s) fail — the rest of the family still
+    produces results.  Returns one engine tag per member, ``("ok",
+    result, ...)`` or ``("error", exception, ...)``, each charged an
+    equal share of the family's wall time.
     """
+    started_unix = time.time()
     started = time.perf_counter()
-    results = evaluate_family(jobs)
-    return results, time.perf_counter() - started
+    try:
+        done = [("ok", result) for result in family_fn(jobs)]
+    except Exception:  # noqa: BLE001 - isolated per point below
+        done = None
+    if done is None:
+        # Outside the except block, so a point's exception does not
+        # chain the family's (and its frames) as its __context__.
+        done = []
+        for job in jobs:
+            try:
+                done.append(("ok", job.evaluate()))
+            except Exception as exc:  # noqa: BLE001 - reported per job
+                done.append(("error", exc))
+    share = (time.perf_counter() - started) / len(jobs)
+    return [(status, payload, share, started_unix)
+            for status, payload in done]
+
+
+def _execute_model_family(jobs: Sequence[ModelEvalJob]) -> List[Tag]:
+    """Engine family executor: one family, one grid call."""
+    return _execute_isolated(evaluate_family, jobs)

@@ -30,6 +30,12 @@ class OutOfMemoryError(ReproError):
         self.required_bytes = required_bytes
         self.budget_bytes = budget_bytes
 
+    def __reduce__(self):
+        """Pickle with both byte counts (the default keeps only the
+        message), so an OOM crosses from a pool worker intact."""
+        return (type(self), (str(self), self.required_bytes,
+                             self.budget_bytes))
+
 
 class EngineError(ReproError):
     """The experiment engine gave up on a job after exhausting retries.

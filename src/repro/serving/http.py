@@ -137,6 +137,11 @@ class ServingHandler(BaseHTTPRequestHandler):
         try:
             kind = routes.get(parsed.path)
             if kind is None:
+                # Consume the unread body first, or keep-alive would
+                # parse it as the next request line.
+                length = self._content_length()
+                if length is not None:
+                    self._drain(length)
                 self._send_error_json(404, "not_found",
                                       f"no route {parsed.path!r}")
                 return
@@ -152,26 +157,47 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     # ----- handlers ----------------------------------------------------------
 
-    def _read_json_body(self) -> Tuple[Any, Optional[str]]:
-        """Read and decode the request body, emitting the error response
-        itself (returning ``(None, reason)``) when it is unusable."""
+    def _content_length(self) -> Optional[int]:
+        """The declared body length, or ``None`` when the header is not
+        a non-negative integer.  Where such a body ends is unknown, so
+        the connection is marked to close after the response."""
         length = self.headers.get("Content-Length")
         try:
             n = int(length) if length is not None else 0
         except ValueError:
-            self._send_error_json(400, "bad_request",
-                                  f"bad Content-Length {length!r}")
+            n = -1
+        if n < 0:
+            self.close_connection = True
+            return None
+        return n
+
+    def _drain(self, n: int) -> None:
+        """Discard an ``n``-byte body, reading at most
+        ``8 * MAX_BODY_BYTES``; a body not consumed whole (too big, or
+        the client stopped sending) closes the connection."""
+        remaining = min(n, 8 * MAX_BODY_BYTES)
+        while remaining > 0:
+            chunk = self.rfile.read(min(65536, remaining))
+            if not chunk:
+                break
+            remaining -= len(chunk)
+        if remaining or n > 8 * MAX_BODY_BYTES:
+            self.close_connection = True
+
+    def _read_json_body(self) -> Tuple[Any, Optional[str]]:
+        """Read and decode the request body, emitting the error response
+        itself (returning ``(None, reason)``) when it is unusable."""
+        n = self._content_length()
+        if n is None:
+            self._send_error_json(
+                400, "bad_request",
+                f"bad Content-Length {self.headers.get('Content-Length')!r}")
             return None, "bad length"
         if n > MAX_BODY_BYTES:
             # Drain (bounded) so a client mid-write sees the 413
             # instead of a connection reset; anything truly huge gets
             # the reset, and either way this connection is done.
-            remaining = min(n, 8 * MAX_BODY_BYTES)
-            while remaining > 0:
-                chunk = self.rfile.read(min(65536, remaining))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
+            self._drain(n)
             self.close_connection = True
             self._send_error_json(
                 413, "too_large",

@@ -223,6 +223,23 @@ class TestEngineModelOutcomes:
         # The failure is never cached: a retry re-executes it.
         assert cache.get(bad.fingerprint()) is None
 
+    def test_failing_job_isolated_not_cached_pooled(self, rn50, tmp_path):
+        good = ModelEvalJob(model=rn50, scheme=PowerSGDScheme(rank=4),
+                            inputs=inputs_at())
+        bad = ModelEvalJob(model=rn50, scheme=BrokenScheme(rank=4),
+                           inputs=inputs_at())
+        cache = SimulationCache(str(tmp_path))
+        engine = ExperimentEngine(jobs=2, cache=cache)
+        outcomes = engine.run_model_outcomes([good, bad])
+        assert outcomes[0].ok and outcomes[0].result == good.evaluate()
+        with pytest.raises(RuntimeError, match="broken scheme"):
+            outcomes[1].unwrap()
+        stats = engine.stats()
+        # The job's own failure is final: counted once, never retried.
+        assert stats.failures == 1 and stats.retries == 0
+        assert cache.get(bad.fingerprint()) is None
+        assert cache.get(good.fingerprint()) is not None
+
     def test_chunk_counter_and_grid_points_recorded(self, rn50):
         previous = get_registry()
         registry = MetricsRegistry()
@@ -251,22 +268,21 @@ class TestSimJobChunking:
         return [(o.job.describe(), o.result.sync_times) for o in outcomes]
 
     def test_chunked_pool_identical_to_serial(self, sim_batch):
-        serial = ExperimentEngine().run_outcomes(sim_batch)
+        serial_engine = ExperimentEngine()
+        serial = serial_engine.run_outcomes(sim_batch)
         engine = ExperimentEngine(jobs=2)
         fanned = engine.run_outcomes(sim_batch)
         assert self._rows(fanned) == self._rows(serial)
-        assert engine.stats().jobs_chunked == len(sim_batch)
+        assert self._counts(engine) == self._counts(serial_engine)
         unchunked_engine = ExperimentEngine(jobs=2, chunking=False)
         unchunked = unchunked_engine.run_outcomes(sim_batch)
         assert self._rows(unchunked) == self._rows(serial)
         assert unchunked_engine.stats().jobs_chunked == 0
 
-    def test_chunk_size_policy(self):
-        engine = ExperimentEngine(jobs=4)
-        assert engine._chunk_size(32, 4) == 2  # ~4 chunks per worker
-        assert engine._chunk_size(3, 4) == 1
-        assert ExperimentEngine(jobs=4, chunking=False)._chunk_size(
-            32, 4) == 1
-        # Per-job timeout budgeting is incompatible with chunking.
-        assert ExperimentEngine(jobs=4, job_timeout_s=30.0)._chunk_size(
-            32, 4) == 1
+    @staticmethod
+    def _counts(engine):
+        """The stats that must not depend on how a batch executed."""
+        stats = engine.stats()
+        return (stats.executed, stats.jobs_completed, stats.jobs_batched,
+                stats.jobs_chunked, stats.failures, stats.retries,
+                stats.timeouts)

@@ -157,6 +157,41 @@ class TestChaosKill:
         assert all(o.ok or o.failed for o in outcomes)
 
 
+class TestChaosKillModelJobs:
+    """Closed-form batches take the same executor entry, so they honour
+    the chaos hooks and recover through the same retry loop."""
+
+    @pytest.fixture
+    def model_jobs(self):
+        from repro.compression.schemes import PowerSGDScheme
+        from repro.core import PerfModelInputs
+        from repro.engine import ModelEvalJob
+        from repro.models import get_model
+        from repro.units import gbps_to_bytes_per_s
+        model = get_model("resnet50")
+        return [ModelEvalJob(model=model, scheme=scheme,
+                             inputs=PerfModelInputs(
+                                 world_size=16, batch_size=32,
+                                 bandwidth_bytes_per_s=gbps_to_bytes_per_s(
+                                     gbps)))
+                for gbps in (1.0, 10.0, 25.0)
+                for scheme in (None, PowerSGDScheme(rank=4))]
+
+    def test_pooled_model_batch_survives_a_dying_worker(
+            self, model_jobs, tmp_path, monkeypatch):
+        serial = ExperimentEngine().run_model_outcomes(model_jobs)
+        monkeypatch.setenv(CHAOS_KILL_ENV, str(tmp_path / "kill.sentinel"))
+        engine = ExperimentEngine(jobs=2, retry_backoff_s=0.0)
+        outcomes = engine.run_model_outcomes(model_jobs)
+        assert (tmp_path / "kill.sentinel").exists()
+        assert all(o.ok for o in outcomes)
+        stats = engine.stats()
+        assert stats.retries >= 1
+        assert stats.failures == 0
+        assert [o.result for o in outcomes] == [o.result for o in serial]
+        assert max(o.attempts for o in outcomes) >= 2
+
+
 class TestTimeout:
     def test_hung_job_is_timed_out(self, small_jobs, tmp_path,
                                    monkeypatch):

@@ -116,6 +116,51 @@ class TestEngineTelemetry:
         assert hist["engine_job_exec_s"]["count"] == 2
         assert hist["engine_queue_wait_s"]["count"] == 2
 
+    @pytest.mark.parametrize("kind", ["model", "advisor"])
+    def test_closed_form_batches_share_the_record(self, rn50, kind,
+                                                  monkeypatch):
+        from repro.analysis import SweepSpec, plan_sweep
+        from repro.compression.schemes import PowerSGDScheme
+        from repro.core import PerfModelInputs
+        from repro.engine import ModelEvalJob
+        from repro.engine import engine as engine_module
+        if kind == "model":
+            batch = [ModelEvalJob(model=rn50, scheme=PowerSGDScheme(rank=4),
+                                  inputs=PerfModelInputs(
+                                      world_size=p,
+                                      bandwidth_bytes_per_s=1.25e9))
+                     for p in (8, 16, 32)]
+            runner = "run_model_outcomes"
+        else:
+            batch = list(plan_sweep(
+                rn50, cluster_for_gpus(32),
+                candidates=[PowerSGDScheme(rank=4)],
+                spec=SweepSpec(world_sizes=(8, 16), bandwidth_points=8,
+                               shard_points=4)).jobs)
+            runner = "run_advisor_outcomes"
+        real = engine_module._execute_group
+        calls = {"n": 0}
+
+        def flaky(group):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("transient blip")
+            return real(group)
+
+        monkeypatch.setattr(engine_module, "_execute_group", flaky)
+        registry = telemetry_metrics.enable()
+        engine = ExperimentEngine(retry_backoff_s=0.0)
+        outcomes = getattr(engine, runner)(batch)
+        assert all(o.ok for o in outcomes)
+        assert all(o.attempts == 2 for o in outcomes)
+        snap = registry.snapshot()
+        assert snap["counters"]["engine_retries_total"] == 1
+        assert snap["counters"]["engine_jobs_chunked_total"] == len(batch)
+        assert snap["histograms"]["engine_job_exec_s"]["count"] == len(batch)
+        assert snap["histograms"]["engine_queue_wait_s"]["count"] \
+            == len(batch)
+        assert "engine_pool_utilization" in snap["gauges"]
+
     def test_null_registry_records_nothing(self, rn50):
         telemetry_metrics.disable()
         engine = ExperimentEngine()

@@ -226,6 +226,52 @@ class TestWire:
         finally:
             conn.close()
 
+    @staticmethod
+    def _exchange(sock, raw):
+        """Send one raw request; return the parsed response."""
+        sock.sendall(raw)
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        return resp.status, resp.read()
+
+    def _healthz_or_closed(self, sock):
+        """Whether the connection either answers ``GET /healthz`` with a
+        200 or is cleanly closed -- never garbled by leftover bytes."""
+        sock.settimeout(5)
+        try:
+            status, raw = self._exchange(
+                sock, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        except (http.client.RemoteDisconnected, ConnectionResetError,
+                BrokenPipeError):
+            return True
+        return status == 200 and json.loads(raw)["status"] == "ok"
+
+    def test_unknown_post_route_drains_body(self, counting_server):
+        body = b'{"model": "resnet50", "gpus": 8}'
+        with socket.create_connection(
+                counting_server.server_address[:2], timeout=30) as sock:
+            status, _ = self._exchange(
+                sock, b"POST /v1/nope HTTP/1.1\r\nHost: t\r\n"
+                      b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+            assert status == 404
+            # The body was consumed, so keep-alive carries on.
+            status, raw = self._exchange(
+                sock, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert status == 200 and json.loads(raw)["status"] == "ok"
+
+    @pytest.mark.parametrize("path", ["/v1/whatif", "/v1/nope"])
+    @pytest.mark.parametrize("length", [b"nope", b"-5"])
+    def test_bad_content_length_ends_connection_cleanly(
+            self, counting_server, path, length):
+        with socket.create_connection(
+                counting_server.server_address[:2], timeout=30) as sock:
+            status, _ = self._exchange(
+                sock, b"POST %s HTTP/1.1\r\nHost: t\r\n"
+                      b"Content-Length: %s\r\n\r\n{}" % (path.encode(),
+                                                          length))
+            assert status == (400 if path == "/v1/whatif" else 404)
+            assert self._healthz_or_closed(sock)
+
 
 class TestWorkflows:
     def test_whatif_sync_roundtrip(self, server):

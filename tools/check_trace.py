@@ -22,6 +22,12 @@ it produced:
     required to carry the tracing counters
     (``trace_spans_total``/``trace_export_bytes_total``).
 
+``--serial-manifest PATH``
+    The manifest of a serial (``--jobs 1``) run of the same exhibits.
+    Every exhibit digest in it must equal the one in the pooled run's
+    manifest, which the CLI writes beside the ``--prom`` snapshot
+    (``manifest.json``): results never depend on execution shape.
+
 Exits non-zero with one problem per line on stderr, so the make target
 fails loudly and the CI log says exactly what shape broke.
 """
@@ -122,6 +128,28 @@ def check_prom(path: str) -> List[str]:
     return problems
 
 
+def check_digests(pooled_path: str, serial_path: str) -> List[str]:
+    """Exhibits whose digest differs between two run manifests."""
+    digests = []
+    for path in (pooled_path, serial_path):
+        try:
+            with open(path, encoding="utf-8") as handle:
+                exhibits = json.load(handle)["results"]["exhibits"]
+        except (OSError, ValueError, KeyError) as exc:
+            return [f"{path}: unreadable manifest: {exc!r}"]
+        digests.append({name: entry.get("digest")
+                        for name, entry in exhibits.items()})
+    pooled, serial = digests
+    if not pooled:
+        return [f"{pooled_path}: no exhibits"]
+    if pooled.keys() != serial.keys():
+        return [f"exhibits differ: pooled {sorted(pooled)} vs serial "
+                f"{sorted(serial)}"]
+    return [f"exhibit {name}: pooled digest {pooled[name]} != serial "
+            f"{serial[name]}" for name in sorted(pooled)
+            if pooled[name] != serial[name]]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns 0 when every artifact checks out."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -129,9 +157,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="Perfetto trace JSON from --trace-run")
     parser.add_argument("--prom", metavar="PATH",
                         help="Prometheus text snapshot to validate")
+    parser.add_argument("--serial-manifest", metavar="PATH",
+                        help="manifest of a serial run of the same "
+                             "exhibits; its digests must equal the "
+                             "manifest.json beside --prom")
     args = parser.parse_args(argv)
     if not args.trace and not args.prom:
         parser.error("nothing to check: pass --trace and/or --prom")
+    if args.serial_manifest and not args.prom:
+        parser.error("--serial-manifest needs --prom (the pooled run's "
+                     "manifest sits beside its snapshot)")
 
     problems: List[str] = []
     if args.trace:
@@ -144,6 +179,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         problems += [f"prom: {p}" for p in found]
         if not found:
             print(f"prom ok: {args.prom}")
+    if args.serial_manifest:
+        pooled = os.path.join(os.path.dirname(args.prom) or ".",
+                              "manifest.json")
+        found = check_digests(pooled, args.serial_manifest)
+        problems += [f"digests: {p}" for p in found]
+        if not found:
+            print(f"digests ok: {pooled} == {args.serial_manifest}")
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0
