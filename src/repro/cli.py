@@ -65,7 +65,6 @@ from .hardware import cluster_for_gpus
 from .models import available_models, get_model
 from .reporting import render_metrics, to_markdown
 from .simulator import (
-    FALLBACK_REASONS,
     SIM_MODES,
     DDPConfig,
     DDPSimulator,
@@ -286,26 +285,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scheme = _parse_scheme(args.scheme) if args.scheme else None
     faults = FaultSchedule.load(args.faults) if args.faults else None
     sim = DDPSimulator(model, cluster, scheme=scheme, faults=faults)
-    # Resolve the mode up front so an explicit mode that cannot be
-    # honoured errors out instead of silently degrading.  --trace no
-    # longer forces the event path: on the batch path span timelines
-    # are reconstructed from the kernel's intermediates
-    # (repro.simulator.reconstruct), bit-identical to the event loop's.
-    mode, fallback = sim.resolve_mode(args.sim_mode,
-                                      tracing=bool(args.trace))
     result = sim.run(args.batch, iterations=args.iterations, warmup=10,
-                     mode=mode)
+                     mode=args.sim_mode)
     label = scheme.label if scheme else "syncsgd"
     print(f"{model.name} x {label} on {cluster.describe()}, "
           f"batch {result.batch_size}:")
     print(f"  sync time {result.mean * 1e3:.1f} ms "
           f"(± {result.std * 1e3:.1f}) over "
           f"{len(result.sync_times)} iterations")
-    if fallback is not None:
-        print(f"  sim mode: {sim.last_run_mode} (auto fell back: "
-              f"{FALLBACK_REASONS[fallback]})")
-    else:
-        print(f"  sim mode: {sim.last_run_mode}")
+    print(f"  sim mode: {sim.last_run_mode}")
     if sim.injector is not None:
         print(f"  {sim.injector.summary()}")
     quiet = DDPConfig(compute_jitter=0.0, comm_jitter=0.0)

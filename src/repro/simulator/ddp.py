@@ -31,7 +31,7 @@ whose ``sync_time()`` is the paper's reported per-iteration metric
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,19 +59,9 @@ from .trace import COMM_STREAM, COMPUTE_STREAM, IterationTrace, Span
 #: Execution schemes :meth:`DDPSimulator.run` accepts.  ``"event"`` is
 #: the per-iteration event-queue loop above; ``"batch"`` is the
 #: vectorized NumPy kernel in :mod:`repro.simulator.batch` (bit-identical
-#: results, no per-iteration Python loop); ``"auto"`` picks the fast
-#: path whenever it is available.
+#: results, no per-iteration Python loop); ``"auto"`` (the default) is
+#: the batch kernel.
 SIM_MODES = ("auto", "event", "batch")
-
-#: Why ``mode="auto"`` falls back to the event path, keyed by the slug
-#: :meth:`DDPSimulator.batch_fallback_reason` returns.  Empty: fault
-#: schedules are applied as array masks, and span-level traces are
-#: reconstructed from kernel intermediates
-#: (:mod:`repro.simulator.reconstruct`), so the fast path serves every
-#: run.  The table stays so a future structural limitation has a
-#: place to register itself (and the CLI reporting around it keeps
-#: working).
-FALLBACK_REASONS: Dict[str, str] = {}
 
 
 @dataclass(frozen=True)
@@ -224,10 +214,6 @@ class DDPSimulator:
         #: Mode the most recent :meth:`run` actually executed
         #: (``"event"`` / ``"batch"``; ``None`` before any run).
         self.last_run_mode: Optional[str] = None
-        #: Fallback-reason slug when an ``"auto"`` run was forced onto
-        #: the event path (``None`` when the fast path ran or the event
-        #: path was requested explicitly).
-        self.last_run_fallback: Optional[str] = None
 
     def _scheme_cost(self, world_size: Optional[int] = None) -> SchemeCost:
         """The scheme's cost for this simulator's model at a world size
@@ -701,50 +687,6 @@ class DDPSimulator:
 
     # ----- multi-iteration runs -------------------------------------------------
 
-    def batch_fallback_reason(self, tracing: bool = False) -> Optional[str]:
-        """Why the batch fast path cannot serve this simulator, as a
-        :data:`FALLBACK_REASONS` slug — or ``None`` when it can.
-
-        Always ``None`` today: fault schedules are applied as array
-        masks, and span-level timeline traces — the last reason this
-        method ever forced the event path — are reconstructed from the
-        kernel's intermediate arrays
-        (:func:`repro.simulator.reconstruct.reconstruct_traces`),
-        bit-identical to event-loop traces.  ``tracing`` is kept for
-        callers that still ask the question explicitly.
-        """
-        del tracing
-        return None
-
-    def resolve_mode(self, mode: str = "auto", tracing: bool = False,
-                     ) -> Tuple[str, Optional[str]]:
-        """Resolve a requested simulation mode to the one that will run.
-
-        Returns ``(resolved mode, fallback reason)`` where the reason is
-        a :data:`FALLBACK_REASONS` slug when ``"auto"`` was forced onto
-        the event path and ``None`` otherwise.
-
-        Raises:
-            ConfigurationError: for an unknown mode, or for an explicit
-                ``"batch"`` request the fast path cannot honour —
-                silently degrading an explicit request would make the
-                mode flag a lie.
-        """
-        if mode not in SIM_MODES:
-            raise ConfigurationError(
-                f"unknown simulation mode {mode!r}; "
-                f"choose one of {', '.join(SIM_MODES)}")
-        if mode == "event":
-            return "event", None
-        reason = self.batch_fallback_reason(tracing)
-        if reason is None:
-            return "batch", None
-        if mode == "batch":
-            raise ConfigurationError(
-                f"simulation mode 'batch' is unavailable here: "
-                f"{FALLBACK_REASONS[reason]} (use 'event' or 'auto')")
-        return "event", reason
-
     def run(self, batch_size: Optional[int] = None, iterations: int = 110,
             warmup: int = 10, seed: int = 0,
             mode: str = "auto") -> TimingResult:
@@ -752,33 +694,35 @@ class DDPSimulator:
         iterations, discard the first ``warmup``, report the rest.
 
         ``mode`` selects the execution scheme (:data:`SIM_MODES`):
-        ``"event"`` runs the per-iteration event loop, ``"batch"`` the
-        vectorized kernel of :mod:`repro.simulator.batch`, and
-        ``"auto"`` (the default) the fast path whenever it is available
-        — including under fault schedules, which the kernel applies as
+        ``"event"`` runs the per-iteration event loop; ``"batch"`` and
+        ``"auto"`` (the default) run the vectorized kernel of
+        :mod:`repro.simulator.batch`, which applies fault schedules as
         array masks.  The two paths are bit-identical — same RNG draws,
         same floating-point operation order — so the choice never
         changes the returned :class:`TimingResult` (and therefore stays
-        out of the engine's cache fingerprints).  The mode that actually
-        ran is recorded on :attr:`last_run_mode` /
-        :attr:`last_run_fallback`.
+        out of the engine's cache fingerprints).  The mode that ran is
+        recorded on :attr:`last_run_mode`.
+
+        Raises:
+            ConfigurationError: for an unknown mode or an invalid
+                iteration protocol.
         """
         if iterations <= warmup:
             raise ConfigurationError(
                 f"iterations ({iterations}) must exceed warmup ({warmup})")
+        if mode not in SIM_MODES:
+            raise ConfigurationError(
+                f"unknown simulation mode {mode!r}; "
+                f"choose one of {', '.join(SIM_MODES)}")
         if self._injector is not None:
             # Retransmit tallies describe one run, not the simulator's
             # lifetime; reset before either path re-accumulates them.
             self._injector.reset_run_counters()
-        resolved, fallback = self.resolve_mode(mode)
+        resolved = "event" if mode == "event" else "batch"
         self.last_run_mode = resolved
-        self.last_run_fallback = fallback
         registry = get_registry()
         if registry.enabled:
             registry.counter("sim_run_mode_total", mode=resolved).inc()
-            if fallback is not None:
-                registry.counter("sim_fastpath_fallback_total",
-                                 reason=fallback).inc()
         tracer = get_tracer()
         if not tracer.enabled:
             return self._run_resolved(resolved, batch_size, iterations,

@@ -33,6 +33,7 @@ from repro.faults import FaultSchedule, StragglerFault
 from repro.hardware import P3_2XLARGE, ClusterConfig, cluster_for_gpus
 from repro.models import get_model
 from repro.simulator import SIM_MODES, DDPConfig, DDPSimulator
+from repro.telemetry.tracing import TraceRecorder, set_tracer
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,6 @@ class TestModeResolution:
         sim = make_sim(rn50, SyncSGDScheme(), 8)
         sim.run(iterations=12, warmup=2, mode="auto")
         assert sim.last_run_mode == "batch"
-        assert sim.last_run_fallback is None
 
     def test_unknown_mode_rejected(self, rn50):
         sim = make_sim(rn50, SyncSGDScheme(), 8)
@@ -140,7 +140,6 @@ class TestModeResolution:
         sim = make_sim(rn50, SyncSGDScheme(), 8, faults=faults)
         sim.run(iterations=12, warmup=2, mode="auto")
         assert sim.last_run_mode == "batch"
-        assert sim.last_run_fallback is None
 
     def test_explicit_batch_with_faults_matches_event(self, rn50):
         faults = FaultSchedule(stragglers=(
@@ -150,21 +149,20 @@ class TestModeResolution:
         assert sim_b.run(iterations=12, warmup=2, mode="batch") == \
             sim_e.run(iterations=12, warmup=2, mode="event")
 
-    def test_fallback_taxonomy_is_empty(self):
-        # Trace export was the last registered fallback; reconstruction
-        # (repro.simulator.reconstruct) retired it.
-        from repro.simulator.ddp import FALLBACK_REASONS
-        assert FALLBACK_REASONS == {}
-
     def test_empty_fault_schedule_takes_batch(self, rn50):
         sim = make_sim(rn50, SyncSGDScheme(), 8, faults=FaultSchedule())
         sim.run(iterations=12, warmup=2, mode="auto")
         assert sim.last_run_mode == "batch"
 
     def test_tracing_stays_on_batch(self, rn50):
-        sim = make_sim(rn50, SyncSGDScheme(), 8)
-        assert sim.resolve_mode("auto", tracing=True) == ("batch", None)
-        assert sim.resolve_mode("batch", tracing=True) == ("batch", None)
+        previous = set_tracer(TraceRecorder())
+        try:
+            for mode in ("auto", "batch"):
+                sim = make_sim(rn50, SyncSGDScheme(), 8)
+                sim.run(iterations=12, warmup=2, mode=mode)
+                assert sim.last_run_mode == "batch"
+        finally:
+            set_tracer(previous)
 
 
 class TestCLIReporting:

@@ -41,10 +41,17 @@ from repro.faults import (
     RetransmitFault,
     StragglerFault,
 )
-from repro.hardware import P3_2XLARGE, ClusterConfig, cluster_for_gpus
+from repro.hardware import (
+    P3_2XLARGE,
+    P3_8XLARGE,
+    ClusterConfig,
+    cluster_for_gpus,
+)
 from repro.models import get_model
+from repro.network import Fabric
 from repro.simulator import DDPConfig, DDPSimulator
-from repro.simulator.batch import run_batch_many
+from repro.simulator.batch import run_batch, run_batch_many
+from repro.telemetry import metrics as telemetry_metrics
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +194,6 @@ class TestFaultedBitIdentity:
                        faults=SCHEDULES["nic-straggler"])
         sim.run(iterations=12, warmup=2, mode="auto")
         assert sim.last_run_mode == "batch"
-        assert sim.last_run_fallback is None
 
     def test_retransmit_counters_match_event_exactly(self, rn50):
         event, batch, sim_e, sim_b = run_both(
@@ -200,6 +206,13 @@ class TestFaultedBitIdentity:
         # loop's sequential accumulation order.
         assert sim_b.injector.retransmit_delay_s == \
             sim_e.injector.retransmit_delay_s
+
+
+def degraded_fabric(cluster):
+    """The default fabric with one inter-node link at half speed."""
+    fabric = Fabric(cluster)
+    fabric.degrade_link(0, 1, 0.5)
+    return fabric
 
 
 class TestRunBatchMany:
@@ -236,6 +249,59 @@ class TestRunBatchMany:
         with pytest.raises(ConfigurationError, match="share"):
             run_batch_many(sims, iterations=12, warmup=2, seeds=(0, 0))
 
+    @pytest.mark.parametrize("lead_gbps,member_gbps", [(1, 100), (100, 1)])
+    def test_member_with_other_nic_speed_rejected(self, rn50, lead_gbps,
+                                                  member_gbps):
+        """Same world size, different fabric speed: the member must not
+        be priced with the lead's bandwidth."""
+        sims = [DDPSimulator(
+            rn50, cluster_for_gpus(
+                8, instance=P3_8XLARGE.with_network_gbps(gbps)),
+            scheme=PowerSGDScheme(rank=4))
+            for gbps in (lead_gbps, member_gbps)]
+        with pytest.raises(ConfigurationError, match="share"):
+            run_batch_many(sims, iterations=12, warmup=2, seeds=(0, 0))
+
+    def test_member_with_other_kernel_profile_rejected(self, rn50):
+        lead = make_sim(rn50, PowerSGDScheme(rank=4))
+        member = DDPSimulator(rn50, cluster_for_gpus(8),
+                              scheme=PowerSGDScheme(rank=4),
+                              kernel_profile=lead.profile.scaled(100))
+        with pytest.raises(ConfigurationError, match="share"):
+            run_batch_many([lead, member], iterations=12, warmup=2,
+                           seeds=(0, 0))
+
+    @pytest.mark.parametrize("fabric_fn", [
+        lambda cluster: Fabric(cluster, alpha_s=1e-3),
+        lambda cluster: Fabric(cluster, incast_per_sender=0.1),
+        lambda cluster: Fabric(cluster, bandwidth_jitter=0.2),
+        degraded_fabric,
+    ], ids=["alpha", "incast", "jitter", "degraded-link"])
+    def test_member_with_other_fabric_rejected(self, rn50, fabric_fn):
+        cluster = cluster_for_gpus(16)
+        sims = [make_sim(rn50, PowerSGDScheme(rank=4), 16),
+                DDPSimulator(rn50, cluster, scheme=PowerSGDScheme(rank=4),
+                             fabric=fabric_fn(cluster))]
+        with pytest.raises(ConfigurationError, match="share"):
+            run_batch_many(sims, iterations=12, warmup=2, seeds=(0, 0))
+
+    def test_engine_family_still_stacks(self, rn50):
+        """Jobs with one family_key() but different seeds and faults
+        build simulators the guard accepts, and stack bit-identically."""
+        jobs = [SimJob(model=rn50, cluster=cluster_for_gpus(16),
+                       scheme=PowerSGDScheme(rank=4), iterations=14,
+                       warmup=3, seed=seed, faults=faults)
+                for seed, faults in ((0, None),
+                                     (1, SCHEDULES["nic-straggler"]),
+                                     (2, SCHEDULES["retransmit-storm"]))]
+        assert len({job.family_key() for job in jobs}) == 1
+        got = run_batch_many([job.build_simulator() for job in jobs],
+                             iterations=14, warmup=3,
+                             seeds=[job.seed for job in jobs])
+        for job, result in zip(jobs, got):
+            assert result == job.build_simulator().run(
+                iterations=14, warmup=3, seed=job.seed, mode="event")
+
     def test_seed_count_must_match(self, rn50):
         sims = [make_sim(rn50, PowerSGDScheme(rank=4), 16)]
         with pytest.raises(ConfigurationError, match="seeds"):
@@ -244,6 +310,40 @@ class TestRunBatchMany:
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigurationError):
             run_batch_many([], iterations=12, warmup=2, seeds=())
+
+
+class TestTelemetryExecutionShape:
+    """A run records the same simulator metrics whether it is evaluated
+    alone or as a member of a stacked kernel call."""
+
+    @staticmethod
+    def _metrics(call):
+        registry = telemetry_metrics.MetricsRegistry()
+        previous = telemetry_metrics.set_registry(registry)
+        try:
+            call()
+        finally:
+            telemetry_metrics.set_registry(previous)
+        label = TopKScheme(fraction=0.01).label
+        hist = registry.histogram("sim_sync_time_s", scheme=label)
+        return (registry.counter("sim_iterations_total",
+                                 scheme=label).value,
+                hist.count, hist.total,
+                registry.counter("sim_wire_bytes_total",
+                                 scheme=label).value)
+
+    @pytest.mark.parametrize("faults", [None, SCHEDULES["kitchen-sink"]],
+                             ids=["clean", "faulted"])
+    def test_alone_equals_stacked(self, rn50, faults):
+        def sim():
+            return make_sim(rn50, TopKScheme(fraction=0.01), 8,
+                            faults=faults)
+        alone = self._metrics(lambda: run_batch(
+            sim(), iterations=30, warmup=5, seed=0))
+        stacked = self._metrics(lambda: run_batch_many(
+            [sim()], iterations=30, warmup=5, seeds=(0,)))
+        assert alone == stacked
+        assert alone[0] == 30 and alone[1] == 30 and alone[3] > 0
 
 
 class TestEngineFamilyBatching:

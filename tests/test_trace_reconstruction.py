@@ -24,6 +24,7 @@ from repro.faults import FaultSchedule, StragglerFault
 from repro.hardware import P3_2XLARGE, ClusterConfig, cluster_for_gpus
 from repro.models import get_model
 from repro.simulator import DDPConfig, DDPSimulator, reconstruct_traces
+from repro.telemetry.tracing import TraceRecorder, set_tracer
 
 
 @pytest.fixture(scope="module")
@@ -131,11 +132,13 @@ class TestExactEquivalence:
 
 class TestModeStaysBatch:
     def test_auto_with_tracing_keeps_batch_and_no_fallback(self, rn50):
-        sim = make_sim(rn50, SyncSGDScheme(), 8)
-        assert sim.resolve_mode("auto", tracing=True) == ("batch", None)
-        sim.run(iterations=12, warmup=2, mode="auto")
-        assert sim.last_run_mode == "batch"
-        assert sim.last_run_fallback is None
+        previous = set_tracer(TraceRecorder())
+        try:
+            sim = make_sim(rn50, SyncSGDScheme(), 8)
+            sim.run(iterations=12, warmup=2, mode="auto")
+            assert sim.last_run_mode == "batch"
+        finally:
+            set_tracer(previous)
 
 
 class TestCLIByteIdentity:

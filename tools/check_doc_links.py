@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Lint the documentation for dead links and phantom CLI invocations.
+"""Lint the documentation for dead links, phantom CLI invocations and
+stale Python references.
 
-Three checks over ``README.md`` and every ``docs/*.md`` page (wired
+Four checks over ``README.md`` and every ``docs/*.md`` page (wired
 into ``make lint`` and the CI lint job):
 
 1. **Relative links resolve** — every ``[text](target)`` markdown link
@@ -16,6 +17,10 @@ into ``make lint`` and the CI lint job):
    every ``--flag`` must be one the subcommand (or the top-level
    parser) accepts.  Docs describing flags that were renamed or never
    shipped fail the build instead of misleading readers.
+4. **Python references resolve** — every backticked dotted ``repro.…``
+   name (``repro.simulator.batch.run_batch``, optionally with a
+   trailing ``()``) must import as a module and resolve attribute by
+   attribute, so a renamed or deleted function cannot stay documented.
 
 Exits non-zero with one problem per line on stderr.
 """
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import importlib
 import os
 import re
 import sys
@@ -42,6 +48,9 @@ DOC_REF_RE = re.compile(r"docs/[A-Za-z0-9_.-]+\.md")
 
 #: A quoted CLI invocation, in inline code or a fenced block.
 CLI_RE = re.compile(r"(?:python -m )?\brepro\s+(?:-|[a-z])[^`\n]*")
+
+#: A backticked dotted name under the package, e.g. ``repro.core.grid``.
+PY_REF_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 
 #: Tokens that end a shell command mid-line.
 SHELL_BREAKERS = ("|", ">", ">>", "<", "&&", "||", ";", "#", "&", "2>")
@@ -83,6 +92,36 @@ def check_doc_refs(path: str, text: str) -> List[str]:
             if not os.path.exists(os.path.join(REPO_ROOT, ref)):
                 problems.append(f"{os.path.relpath(path, REPO_ROOT)}:{i}: "
                                 f"missing cross-reference {ref!r}")
+    return problems
+
+
+def resolve_python_ref(name: str) -> bool:
+    """Whether ``name`` is a module, or a module's (nested) attribute.
+
+    The longest importable prefix is the module; every remaining part
+    must then resolve with ``getattr``."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_python_refs(path: str, text: str) -> List[str]:
+    """Backticked ``repro.…`` names that do not resolve."""
+    problems = []
+    for i, line in enumerate(text.splitlines(), 1):
+        for name in PY_REF_RE.findall(line):
+            if not resolve_python_ref(name):
+                problems.append(f"{os.path.relpath(path, REPO_ROOT)}:{i}: "
+                                f"unresolved Python reference {name!r}")
     return problems
 
 
@@ -212,11 +251,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         problems += check_links(path, text)
         problems += check_doc_refs(path, text)
         problems += check_cli_invocations(path, text)
+        problems += check_python_refs(path, text)
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:
         print(f"docs ok: {len(files)} file(s), links + cross-references "
-              f"+ CLI invocations verified")
+              f"+ CLI invocations + Python references verified")
     return 1 if problems else 0
 
 
