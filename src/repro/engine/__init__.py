@@ -22,7 +22,9 @@ from .pack import PackLocation, PackStore
 from .fingerprint import (
     FINGERPRINT_VERSION,
     cluster_fingerprint,
+    cluster_fragment,
     config_fingerprint,
+    config_fragment,
     digest,
     fabric_fingerprint,
     model_fragment,
@@ -41,4 +43,5 @@ __all__ = [
     "FINGERPRINT_VERSION", "digest",
     "model_fragment", "scheme_fingerprint", "cluster_fingerprint",
     "fabric_fingerprint", "config_fingerprint", "profile_fingerprint",
+    "cluster_fragment", "config_fragment",
 ]

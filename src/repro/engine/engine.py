@@ -43,6 +43,7 @@ from ..compression.schemes import Scheme
 from ..core.perf_model import PredictedTime
 from ..errors import ConfigurationError, EngineError, OutOfMemoryError
 from ..faults import FaultSchedule
+from ..faults.injector import validate_topology
 from ..hardware import ClusterConfig
 from ..models import ModelSpec
 from ..network import Fabric
@@ -64,8 +65,8 @@ from .advisorjobs import (
 from .cache import CacheStats, SimulationCache
 from .fingerprint import (
     FINGERPRINT_VERSION,
-    cluster_fingerprint,
-    config_fingerprint,
+    cluster_fragment,
+    config_fragment,
     digest,
     fabric_fingerprint,
     faults_fingerprint,
@@ -236,10 +237,10 @@ class SimJob:
         payload = {
             "version": FINGERPRINT_VERSION,
             "model": model_fragment(self.model),
-            "cluster": cluster_fingerprint(self.cluster),
+            "cluster": cluster_fragment(self.cluster),
             "scheme": scheme_fingerprint(self.scheme),
             "fabric": fabric_fingerprint(self.fabric),
-            "config": config_fingerprint(self.config),
+            "config": config_fragment(self.config),
             "profile": profile_fingerprint(self.profile),
             "batch_size": self.batch_size,
             "iterations": self.iterations,
@@ -270,10 +271,10 @@ class SimJob:
         payload = {
             "version": FINGERPRINT_VERSION,
             "model": model_fragment(self.model),
-            "cluster": cluster_fingerprint(self.cluster),
+            "cluster": cluster_fragment(self.cluster),
             "scheme": scheme_fingerprint(self.scheme),
             "fabric": fabric_fingerprint(self.fabric),
-            "config": config_fingerprint(self.config),
+            "config": config_fragment(self.config),
             "profile": profile_fingerprint(self.profile),
             "batch_size": self.batch_size,
             "iterations": self.iterations,
@@ -347,15 +348,21 @@ def _execute_job(job: SimJob) -> Tag:
     """Run one job and tag its outcome.
 
     OOM is data (the sweep reports it as a row), so it travels back as a
-    value instead of an exception; anything else propagates to the
-    parent, which retries and ultimately degrades the job to a failure
-    outcome.  The tag carries the job's own wall time and the wall-clock
-    instant it started (``time.time``, comparable across processes to
-    ~ms precision), from which the parent derives queue wait.
+    value instead of an exception.  A job whose fault schedule does not
+    fit its cluster is a deterministic error tag: retrying cannot fix
+    it.  Anything else propagates to the parent, which retries and
+    ultimately degrades the job to a failure outcome.  The tag carries
+    the job's own wall time and the wall-clock instant it started
+    (``time.time``, comparable across processes to ~ms precision), from
+    which the parent derives queue wait.
     """
     started_unix = time.time()
     started = time.perf_counter()
-    sim = job.build_simulator()
+    try:
+        sim = job.build_simulator()
+    except ConfigurationError as exc:
+        return ("error", _reason(exc), time.perf_counter() - started,
+                started_unix)
     try:
         result = sim.run(job.batch_size, iterations=job.iterations,
                          warmup=job.warmup, seed=job.seed,
@@ -368,41 +375,57 @@ def _execute_job(job: SimJob) -> Tag:
     return ("ok", result, time.perf_counter() - started, started_unix)
 
 
+def _reason(exc: Exception) -> str:
+    """An exception as an error tag's reason (the retry loop's format)."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _execute_sim_family(jobs: Sequence[SimJob]) -> List[Tag]:
-    """Family executor for simulations: one stacked kernel call.
+    """Family executor for simulations: one simulator, one kernel call.
 
     A lone job runs through :func:`_execute_job` (looked up at call
-    time, so tests can monkeypatch it).  A family the batch kernel
-    cannot serve — a deterministic OOM, which is per-member data, or a
-    configuration it rejects — falls back to executing members
-    individually, so family batching can only add speed, never failure
-    modes; unexpected exceptions still propagate for the parent to
-    retry.
+    time, so tests can monkeypatch it).  A family shares every
+    structural input (its ``family_key()``), so it builds the lead's
+    simulator once, without faults, and hands
+    :func:`~repro.simulator.batch.run_batch_many` each member's seed and
+    fault schedule.  A member whose schedule does not fit the cluster
+    gets its deterministic error tag alone; its siblings still run.
+    Memory is structural too, so a family OOM is every member's
+    outcome.  Unexpected exceptions propagate for the parent to retry.
     """
     if len(jobs) == 1:
         return [_execute_job(jobs[0])]
     started_unix = time.time()
     started = time.perf_counter()
+    # Deferred import: batch.py sits below the simulator package this
+    # module already imports.
+    from ..simulator.batch import run_batch_many
     lead = jobs[0]
-    try:
-        # Deferred import: batch.py sits below the simulator package
-        # this module already imports.
-        from ..simulator.batch import run_batch_many
-        sims = [job.build_simulator() for job in jobs]
-        for sim in sims:
-            if sim._injector is not None:
-                sim._injector.reset_run_counters()
-        results = run_batch_many(
-            sims, lead.batch_size, iterations=lead.iterations,
-            warmup=lead.warmup, seeds=[job.seed for job in jobs])
-    except (OutOfMemoryError, ConfigurationError):
-        results = None
-    if results is None:
-        # Outside the except block, so members' OOMs do not chain the
-        # family's exception (and its frames) as their __context__.
-        return [_execute_job(job) for job in jobs]
-    share = (time.perf_counter() - started) / len(jobs)
-    return [("ok", result, share, started_unix) for result in results]
+    tags: List[Optional[Tag]] = [None] * len(jobs)
+    runnable = []
+    for k, job in enumerate(jobs):
+        if job.faults is not None:
+            try:
+                validate_topology(job.faults, job.cluster)
+            except ConfigurationError as exc:
+                tags[k] = ("error", _reason(exc), 0.0, started_unix)
+                continue
+        runnable.append(k)
+    if runnable:
+        sim = replace(lead, faults=None).build_simulator()
+        try:
+            outcomes: List[object] = run_batch_many(
+                sim, lead.batch_size, iterations=lead.iterations,
+                warmup=lead.warmup, seeds=[jobs[k].seed for k in runnable],
+                faults=[jobs[k].faults for k in runnable])
+            status = "ok"
+        except OutOfMemoryError as exc:
+            outcomes = [exc.with_traceback(None)] * len(runnable)
+            status = "oom"
+        share = (time.perf_counter() - started) / len(runnable)
+        for k, payload in zip(runnable, outcomes):
+            tags[k] = (status, payload, share, started_unix)
+    return tags  # type: ignore[return-value]
 
 
 def _sim_outcome(job: SimJob, status: str, payload: object,
@@ -827,7 +850,7 @@ class ExperimentEngine:
                         tags = _execute_group(group)
                     break
                 except Exception as exc:  # noqa: BLE001 - retried below
-                    reason = f"{type(exc).__name__}: {exc}"
+                    reason = _reason(exc)
                     if attempt > self.max_retries:
                         tags = _error_tags(group, reason)
                         break
@@ -931,7 +954,7 @@ class ExperimentEngine:
                         except Exception as exc:  # noqa: BLE001
                             self._register_failure(
                                 idx, attempt_counts, groups, results,
-                                retry, f"{type(exc).__name__}: {exc}")
+                                retry, _reason(exc))
                         _close_span(idx)
                     if broken:
                         # The pool is unusable; every in-flight future is

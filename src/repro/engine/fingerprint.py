@@ -30,6 +30,12 @@ one.  Consequently a new :class:`~repro.models.ModelSpec` or
 :class:`~repro.models.LayerSpec` field that affects timing MUST be added
 to the fragment payload in :func:`model_fragment` — nothing else will
 put it into the key.
+
+The cluster and the :class:`~repro.simulator.DDPConfig` are spliced the
+same way (:func:`cluster_fragment`, :func:`config_fragment`), memoized
+on their frozen instances; theirs are small and do travel in pickles,
+which is harmless because a fragment is a pure function of the fields
+pickled beside it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
@@ -166,7 +172,35 @@ def profile_fingerprint(profile: Optional[KernelProfile]) -> Dict[str, Any]:
 
 def config_fingerprint(config: Optional[DDPConfig]) -> Dict[str, Any]:
     """All :class:`DDPConfig` knobs (``None`` hashes as the default)."""
-    return asdict(config if config is not None else DDPConfig())
+    return asdict(config if config is not None else _DEFAULT_CONFIG)
+
+
+_DEFAULT_CONFIG = DDPConfig()
+
+
+def _memoized(spec: Any, render: Callable[[Any], Dict[str, Any]],
+              ) -> Fragment:
+    """``render(spec)`` as a canonical-JSON :class:`Fragment`, memoized
+    in the frozen ``spec``'s ``__dict__``."""
+    fragment = spec.__dict__.get(FINGERPRINT_MEMO)
+    if fragment is None:
+        fragment = Fragment(canonical_json(render(spec)))
+        object.__setattr__(spec, FINGERPRINT_MEMO, fragment)
+    return fragment
+
+
+def cluster_fragment(cluster: ClusterConfig) -> Fragment:
+    """:func:`cluster_fingerprint` as canonical JSON, rendered once per
+    frozen :class:`~repro.hardware.ClusterConfig` instance."""
+    return _memoized(cluster, cluster_fingerprint)
+
+
+def config_fragment(config: Optional[DDPConfig]) -> Fragment:
+    """:func:`config_fingerprint` as canonical JSON, rendered once per
+    frozen :class:`~repro.simulator.DDPConfig` instance (and once for
+    the ``None`` default)."""
+    return _memoized(config if config is not None else _DEFAULT_CONFIG,
+                     config_fingerprint)
 
 
 def faults_fingerprint(faults: Optional[FaultSchedule],

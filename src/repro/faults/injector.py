@@ -15,7 +15,9 @@ Determinism rules:
   never from the simulator's jitter stream, so attaching faults does
   not perturb jitter and parallel sweeps replay identically;
 * everything else is a pure function of the schedule and the iteration
-  index, memoized per iteration.
+  index: :meth:`FaultInjector.faults_for` resolves (and memoizes) one
+  iteration, :meth:`FaultInjector.resolve_range` a whole range at once
+  as interval masks over the schedule's windows.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ..hardware import ClusterConfig
 from ..network import Fabric
 from ..telemetry.metrics import get_registry
 from .schedule import FaultSchedule, RetransmitFault
+from .streams import SeededStreams
 
 #: Stream name for fault-window spans in iteration traces; the Perfetto
 #: exporter allocates it a track automatically, so fault windows show up
@@ -72,43 +75,113 @@ class IterationFaults:
         return bool(self.active) or self.stall_s > 0
 
 
+#: Fault labels an :class:`IterationFaults` can carry in ``active``.
+ACTIVE_LABELS = ("crash-elastic", "crash-restart", "degraded-link",
+                 "retransmit-risk", "straggler")
+
+
+def _window_mask(iterations: np.ndarray, start: int,
+                 duration: Optional[int],
+                 period: Optional[int] = None) -> np.ndarray:
+    """Array form of :func:`repro.faults.schedule._window_active`."""
+    mask = iterations >= start
+    if duration is not None:
+        offset = iterations - start
+        if period is not None:
+            offset = offset % period
+        mask &= offset < duration
+    return mask
+
+
 @dataclass(frozen=True)
 class ResolvedFaults:
     """A contiguous range of iterations' fault state, as arrays.
 
-    The batch simulation fast path consumes fault state as masks and
+    The batch simulation kernel consumes fault state as masks and
     broadcasts rather than one :class:`IterationFaults` at a time; this
     is the array form :meth:`FaultInjector.resolve_range` returns.  The
     arrays are parallel over iterations ``start .. start + n - 1`` and
-    each element is exactly the corresponding scalar field of
-    :meth:`FaultInjector.faults_for` — same memoized resolution, just
-    packed.
+    each element equals the corresponding field of
+    :meth:`FaultInjector.faults_for` for that iteration.
 
     Attributes:
         start: First (0-based absolute) iteration of the range.
-        states: The per-iteration :class:`IterationFaults` records (for
-            retransmit policies and telemetry mirroring).
         compute_slowdown: ``(n,)`` compute stretch factors (>= 1).
         bandwidth_scale: ``(n,)`` min-bandwidth multipliers (<= 1).
         world_size: ``(n,)`` surviving world sizes (int).
         stall_s: ``(n,)`` start-of-iteration recovery stalls.
+        retransmit: ``(n,)`` index of the active retransmit policy in
+            the schedule's ``retransmits``, ``-1`` where none is active.
+        active: Each label of :data:`ACTIVE_LABELS` mapped to its
+            ``(n,)`` mask: whether ``faults_for(i).active`` holds it.
+        has_retransmits: Whether any iteration in the range can drop
+            transfers (an active policy with a positive drop rate).
     """
 
     start: int
-    states: Tuple[IterationFaults, ...]
     compute_slowdown: np.ndarray
     bandwidth_scale: np.ndarray
     world_size: np.ndarray
     stall_s: np.ndarray
+    retransmit: np.ndarray
+    active: Dict[str, np.ndarray]
+    has_retransmits: bool
 
     def __len__(self) -> int:
-        return len(self.states)
+        return int(self.stall_s.size)
 
     @property
-    def has_retransmits(self) -> bool:
-        """Whether any iteration in the range can drop transfers."""
-        return any(s.retransmit is not None and s.retransmit.drop_rate > 0
-                   for s in self.states)
+    def degraded(self) -> np.ndarray:
+        """``(n,)`` mask of :attr:`IterationFaults.degraded`."""
+        mask = self.stall_s > 0
+        for labelled in self.active.values():
+            mask = mask | labelled
+        return mask
+
+
+def validate_topology(schedule: FaultSchedule,
+                      cluster: ClusterConfig) -> None:
+    """Reject faults referencing workers/nodes the cluster lacks.
+
+    Raises:
+        ConfigurationError: a straggler, crash, link or node fault out
+            of range for ``cluster`` (or a malformed link/node factor).
+    """
+    p = cluster.world_size
+    n = cluster.num_nodes
+    for s in schedule.stragglers:
+        if s.worker >= p:
+            raise ConfigurationError(
+                f"straggler worker {s.worker} out of range for "
+                f"{p} workers")
+    for c in schedule.crashes:
+        if c.worker >= p:
+            raise ConfigurationError(
+                f"crash worker {c.worker} out of range for "
+                f"{p} workers")
+    for link in schedule.links:
+        if link.node_a >= n or link.node_b >= n:
+            raise ConfigurationError(
+                f"link fault ({link.node_a}, {link.node_b}) out of "
+                f"range for {n} nodes")
+        # Defense in depth: LinkFault's constructor rejects these
+        # too, but a self-link that slips through (hand-built or
+        # deserialized records) would have its factor applied to the
+        # same matrix cell twice (factor²) in the bandwidth scale.
+        if link.node_a == link.node_b:
+            raise ConfigurationError(
+                f"link fault endpoints must differ, got node "
+                f"{link.node_a} twice")
+        if link.factor <= 0:
+            raise ConfigurationError(
+                f"link factor must be > 0, got {link.factor}")
+    for node in schedule.nodes:
+        if node.node >= n:
+            raise ConfigurationError(
+                f"node fault {node.node} out of range for {n} nodes")
+        if node.factor <= 0:
+            raise ConfigurationError(
+                f"node factor must be > 0, got {node.factor}")
 
 
 class FaultInjector:
@@ -126,7 +199,7 @@ class FaultInjector:
         self.schedule = schedule
         self.cluster = cluster
         self.fabric = fabric
-        self._validate_topology()
+        validate_topology(schedule, cluster)
         self._base_min_bw = fabric.min_bandwidth()
         self._cache: Dict[int, IterationFaults] = {}
         self._bw_cache: Dict[tuple, float] = {}
@@ -148,44 +221,6 @@ class FaultInjector:
         self.retransmits_injected = 0
         self.retransmit_delay_s = 0.0
 
-    def _validate_topology(self) -> None:
-        """Reject faults referencing workers/nodes the cluster lacks."""
-        p = self.cluster.world_size
-        n = self.cluster.num_nodes
-        for s in self.schedule.stragglers:
-            if s.worker >= p:
-                raise ConfigurationError(
-                    f"straggler worker {s.worker} out of range for "
-                    f"{p} workers")
-        for c in self.schedule.crashes:
-            if c.worker >= p:
-                raise ConfigurationError(
-                    f"crash worker {c.worker} out of range for "
-                    f"{p} workers")
-        for link in self.schedule.links:
-            if link.node_a >= n or link.node_b >= n:
-                raise ConfigurationError(
-                    f"link fault ({link.node_a}, {link.node_b}) out of "
-                    f"range for {n} nodes")
-            # Defense in depth: LinkFault's constructor rejects these
-            # too, but a self-link that slips through (hand-built or
-            # deserialized records) would have its factor applied to the
-            # same matrix cell twice (factor²) in _bandwidth_scale.
-            if link.node_a == link.node_b:
-                raise ConfigurationError(
-                    f"link fault endpoints must differ, got node "
-                    f"{link.node_a} twice")
-            if link.factor <= 0:
-                raise ConfigurationError(
-                    f"link factor must be > 0, got {link.factor}")
-        for node in self.schedule.nodes:
-            if node.node >= n:
-                raise ConfigurationError(
-                    f"node fault {node.node} out of range for {n} nodes")
-            if node.factor <= 0:
-                raise ConfigurationError(
-                    f"node factor must be > 0, got {node.factor}")
-
     # ----- per-iteration resolution ----------------------------------------
 
     def faults_for(self, iteration: int) -> IterationFaults:
@@ -199,25 +234,86 @@ class FaultInjector:
     def resolve_range(self, start: int, stop: int) -> ResolvedFaults:
         """Resolve iterations ``[start, stop)`` into parallel arrays.
 
-        The array API of :meth:`faults_for`: one pass over the memoized
-        per-iteration resolution, packed into the :class:`ResolvedFaults`
-        form the batch fast path applies as masks and broadcasts.
+        The array API of :meth:`faults_for`, computed straight from the
+        schedule's windows as interval masks: no per-iteration Python
+        work, and the bandwidth scale is priced once per distinct
+        active link/node pattern.
         """
         if stop < start:
             raise ConfigurationError(
                 f"resolve_range: stop ({stop}) must be >= start ({start})")
-        states = tuple(self.faults_for(i) for i in range(start, stop))
+        it = np.arange(start, stop, dtype=np.int64)
+        n = it.size
+        schedule = self.schedule
+        # A worker leaves for good at its first elastic crash.
+        gone_at: Dict[int, int] = {}
+        for c in schedule.crashes:
+            if c.recovery == "elastic":
+                gone_at[c.worker] = min(c.at_iteration,
+                                        gone_at.get(c.worker, c.at_iteration))
+
+        slowdown = np.ones(n)
+        straggling = np.zeros(n, dtype=bool)
+        for s in schedule.stragglers:
+            mask = _window_mask(it, s.start_iteration, s.duration_iterations)
+            if s.worker in gone_at:
+                mask &= it < gone_at[s.worker]
+            slowdown = np.where(mask, np.maximum(slowdown, s.slowdown),
+                                slowdown)
+            straggling |= mask
+
+        bw_scale = self._bandwidth_scale_range(it)
+
+        world = np.full(n, self.cluster.world_size, dtype=np.int64)
+        for at in gone_at.values():
+            world -= it >= at
+        world = np.maximum(world, 1)
+        stall = np.zeros(n)
+        crashed = {"crash-elastic": np.zeros(n, dtype=bool),
+                   "crash-restart": np.zeros(n, dtype=bool)}
+        for c in schedule.crashes:
+            row = c.at_iteration - start
+            if 0 <= row < n:
+                # Schedule order, as the scalar resolution sums stalls.
+                stall[row] += c.stall_s
+                crashed[f"crash-{c.recovery}"][row] = True
+
+        # The harshest active retransmit policy, the first of equal
+        # rates — as the scalar resolution picks it.
+        policy = np.full(n, -1, dtype=np.int64)
+        rate = np.zeros(n)
+        for k, r in enumerate(schedule.retransmits):
+            take = _window_mask(it, r.start_iteration, r.duration_iterations)
+            take &= (policy < 0) | (r.drop_rate > rate)
+            policy[take] = k
+            rate[take] = r.drop_rate
+        active = {"degraded-link": bw_scale < 1.0,
+                  "retransmit-risk": policy >= 0,
+                  "straggler": straggling, **crashed}
         return ResolvedFaults(
-            start=start,
-            states=states,
-            compute_slowdown=np.array(
-                [s.compute_slowdown for s in states], dtype=float),
-            bandwidth_scale=np.array(
-                [s.bandwidth_scale for s in states], dtype=float),
-            world_size=np.array(
-                [s.world_size for s in states], dtype=np.int64),
-            stall_s=np.array([s.stall_s for s in states], dtype=float),
-        )
+            start=start, compute_slowdown=slowdown,
+            bandwidth_scale=bw_scale, world_size=world, stall_s=stall,
+            retransmit=policy,
+            active={label: active[label] for label in ACTIVE_LABELS},
+            has_retransmits=bool((rate > 0).any()))
+
+    def _bandwidth_scale_range(self, it: np.ndarray) -> np.ndarray:
+        """:meth:`_bandwidth_scale` over an iteration array, priced once
+        per distinct pattern of active link and node faults."""
+        links, nodes = self.schedule.links, self.schedule.nodes
+        if self.cluster.num_nodes <= 1 or not (links or nodes):
+            return np.ones(it.size)
+        masks = np.stack(
+            [_window_mask(it, f.start_iteration, f.duration_iterations,
+                          f.period_iterations) for f in links + nodes],
+            axis=1)
+        patterns, inverse = np.unique(masks, axis=0, return_inverse=True)
+        priced = np.array([
+            self._pattern_scale(
+                tuple(f for f, on in zip(links, row) if on),
+                tuple(f for f, on in zip(nodes, row[len(links):]) if on))
+            for row in patterns])
+        return priced[inverse.reshape(-1)]
 
     def _resolve(self, iteration: int) -> IterationFaults:
         """Compute one iteration's fault state from the schedule."""
@@ -283,40 +379,39 @@ class FaultInjector:
                    for c in self.schedule.crashes)
 
     def _bandwidth_scale(self, iteration: int) -> float:
-        """Effective min-bandwidth multiplier after active link faults.
+        """Effective min-bandwidth multiplier after active link faults."""
+        if self.cluster.num_nodes <= 1:
+            return 1.0
+        return self._pattern_scale(
+            tuple(f for f in self.schedule.links if f.active(iteration)),
+            tuple(f for f in self.schedule.nodes if f.active(iteration)))
+
+    def _pattern_scale(self, active_links: tuple,
+                       active_nodes: tuple) -> float:
+        """The min-bandwidth multiplier of one active-fault pattern.
 
         Applies every active link/NIC factor to a copy of the fabric's
         pairwise matrix and re-takes the minimum — exactly the paper's
         probe-and-take-minimum methodology, run against the degraded
-        fabric.  Clusters are small (<= a few dozen nodes), so the
-        O(n^2) copy per *distinct* fault pattern is negligible — the
-        scale is memoized by active-fault pattern, since a schedule
-        spends whole windows in the same handful of patterns.
+        fabric.  A schedule spends whole windows in the same handful of
+        patterns, so the scale is memoized per pattern.
         """
-        n = self.cluster.num_nodes
-        if n <= 1:
-            return 1.0
-        active_links = tuple(f for f in self.schedule.links
-                             if f.active(iteration))
-        active_nodes = tuple(f for f in self.schedule.nodes
-                             if f.active(iteration))
         if not active_links and not active_nodes:
             return 1.0
         pattern = (active_links, active_nodes)
         cached = self._bw_cache.get(pattern)
         if cached is not None:
             return cached
-        matrix = np.array(
-            [[self.fabric.pair_bandwidth(a, b) if a != b else np.inf
-              for b in range(n)] for a in range(n)])
+        matrix = np.array(self.fabric._pair_bw, dtype=float)
+        np.fill_diagonal(matrix, np.inf)
         for link in active_links:
             matrix[link.node_a, link.node_b] *= link.factor
             matrix[link.node_b, link.node_a] *= link.factor
         for node in active_nodes:
-            for other in range(n):
-                if other != node.node:
-                    matrix[node.node, other] *= node.factor
-                    matrix[other, node.node] *= node.factor
+            # The diagonal stays inf, so scaling whole rows and columns
+            # touches every off-diagonal cell once, in schedule order.
+            matrix[node.node, :] *= node.factor
+            matrix[:, node.node] *= node.factor
         scale = float(matrix.min()) / self._base_min_bw
         self._bw_cache[pattern] = scale
         return scale
@@ -359,61 +454,65 @@ class FaultInjector:
                     delay)
         return delay, replays
 
-    def retransmit_delay_range(self, start: int, stop: int,
-                               transfer_index: int,
-                               base_durations_s: np.ndarray,
+    def retransmit_delay_range(self, resolved: ResolvedFaults,
+                               durations: np.ndarray,
                                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`retransmit_delay` over ``[start, stop)``
-        for one transfer index.
+        """Vectorized :meth:`retransmit_delay` over a transfer matrix.
 
-        Returns ``(delay_s, replays)`` arrays of length ``stop - start``
-        whose elements are bit-identical to the scalar call: each
-        iteration's draws come from the same
-        ``(schedule seed, iteration, transfer_index)``-seeded generator
-        (batched draws consume the stream in the same order as the
-        scalar loop's sequential ones), and the per-retry delay terms
-        accumulate in the scalar loop's order.
+        ``durations`` is ``(n, T)`` over ``resolved``'s iterations: cell
+        ``(row, t)`` is transfer ``t`` of iteration
+        ``resolved.start + row``.  Returns ``(delay_s, replays)`` arrays
+        of that shape whose elements are bit-identical to the scalar
+        call: every cell's draws come from its own ``(schedule seed,
+        iteration, transfer)`` stream, all seeded and advanced at once by
+        :class:`~repro.faults.streams.SeededStreams`, and the per-retry
+        delay terms accumulate in the scalar loop's order.
 
         Unlike the scalar method this is *pure*: the run counters and
         telemetry are untouched — the batch path mirrors them itself
         after assembling every transfer, preserving the event path's
         accumulation order.
         """
-        n = stop - start
-        durs = np.asarray(base_durations_s, dtype=float)
-        delays = np.zeros(n)
-        replays = np.zeros(n, dtype=np.int64)
-        # Group rows by active policy: draws vectorize per policy (its
-        # drop rate and retry schedule are shared), while each row keeps
-        # its own seeded stream.
-        groups: Dict[RetransmitFault, list] = {}
-        for row in range(n):
-            policy = self.faults_for(start + row).retransmit
-            # The event path never rolls the dice for an idle policy or
-            # a zero-length transfer (duration <= 0 skips retransmits).
-            if policy is None or policy.drop_rate == 0.0 or durs[row] <= 0:
-                continue
-            groups.setdefault(policy, []).append(row)
-        for policy, rows in groups.items():
-            draws = np.stack([
-                np.random.default_rng(
-                    (self.schedule.seed, start + row, transfer_index)
-                ).random(policy.max_retries)
-                for row in rows])
-            delivered = draws >= policy.drop_rate
-            reps = np.where(delivered.any(axis=1),
-                            delivered.argmax(axis=1), policy.max_retries)
-            row_durs = durs[rows]
-            delay = np.zeros(len(rows))
-            for k in range(int(reps.max()) if len(reps) else 0):
-                # Same association as the scalar loop: timeout term
-                # (python-float scalar) plus the replayed transfer,
-                # added onto the running delay.
-                term = policy.timeout_s * policy.backoff ** k
-                delay = np.where(reps > k, delay + (term + row_durs),
-                                 delay)
-            delays[rows] = delay
-            replays[rows] = reps
+        durs = np.asarray(durations, dtype=float)
+        n, T = durs.shape
+        delays = np.zeros((n, T))
+        replays = np.zeros((n, T), dtype=np.int64)
+        policies = self.schedule.retransmits
+        # Index -1 (no active policy) reads the trailing 0.0 rate.
+        rate = np.array([r.drop_rate for r in policies]
+                        + [0.0])[resolved.retransmit]
+        # The event path never rolls the dice for an idle policy or a
+        # zero-length transfer (duration <= 0 skips retransmits).
+        rows, cols = np.nonzero((rate > 0)[:, None] & (durs > 0))
+        if rows.size == 0:
+            return delays, replays
+        policies = self.schedule.retransmits
+        pol = resolved.retransmit[rows]
+        drop = rate[rows]
+        limit = np.array([r.max_retries for r in policies])[pol]
+        # Each policy's retry terms, in the scalar loop's arithmetic.
+        terms = np.zeros((len(policies), max(r.max_retries
+                                             for r in policies)))
+        for k, r in enumerate(policies):
+            terms[k, :r.max_retries] = [r.timeout_s * r.backoff ** j
+                                        for j in range(r.max_retries)]
+        base = durs[rows, cols]
+        streams = SeededStreams(self.schedule.seed, resolved.start + rows,
+                                cols)
+        delay = np.zeros(rows.size)
+        reps = np.zeros(rows.size, dtype=np.int64)
+        pending = np.arange(rows.size)
+        attempt = 0
+        while pending.size:
+            # Every pending cell has failed ``attempt`` times so far.
+            pending = pending[streams.random(pending) < drop[pending]]
+            delay[pending] = delay[pending] + (terms[pol[pending], attempt]
+                                               + base[pending])
+            reps[pending] += 1
+            attempt += 1
+            pending = pending[limit[pending] > attempt]
+        delays[rows, cols] = delay
+        replays[rows, cols] = reps
         return delays, replays
 
     # ----- reporting --------------------------------------------------------
@@ -431,6 +530,28 @@ class FaultInjector:
             registry.counter("sim_faults_active_total", kind=kind).inc()
         if state.stall_s > 0:
             registry.counter("sim_fault_stall_s_total").inc(state.stall_s)
+
+    def record_range(self, resolved: ResolvedFaults) -> None:
+        """Mirror a resolved range into telemetry in bulk: the counter
+        values :meth:`record_iteration` reaches over the same iterations
+        (integer counts added once, stall seconds in iteration order)."""
+        registry = get_registry()
+        if not registry.enabled:
+            return
+        degraded = int(resolved.degraded.sum())
+        if not degraded:
+            return
+        registry.counter("sim_fault_degraded_iterations_total").inc(degraded)
+        kinds: Dict[str, int] = {}
+        for label, mask in resolved.active.items():
+            kind = label.split("-")[0]
+            kinds[kind] = kinds.get(kind, 0) + int(mask.sum())
+        for kind, count in kinds.items():
+            if count:
+                registry.counter("sim_faults_active_total",
+                                 kind=kind).inc(count)
+        for stall in resolved.stall_s[resolved.stall_s > 0]:
+            registry.counter("sim_fault_stall_s_total").inc(float(stall))
 
     def summary(self) -> str:
         """One-line post-run summary for the CLI."""

@@ -26,6 +26,8 @@ from .flops import BACKWARD_FLOP_RATIO
 #: ``ModelSpec.__dict__`` slot where
 #: :func:`repro.engine.fingerprint.model_fragment` memoizes the spec's
 #: canonical-JSON key fragment.  Per process only: pickles leave it out.
+#: The cluster and config fragments use the same slot name on their own
+#: frozen specs.
 FINGERPRINT_MEMO = "_fingerprint_fragment"
 
 

@@ -38,8 +38,9 @@ bandwidths and surviving world sizes regroup the collective pricing,
 and retransmit delays are drawn vectorized from the same
 ``(seed, iteration, transfer_index)``-seeded streams the event path
 uses.  A fault-free run is the case whose rows are all identity.  The
-same machinery stacks *several* simulators sharing one model, cluster
-and fabric (an engine job family) into a single kernel call.
+same machinery stacks *several* runs of one simulator — members that
+differ only in jitter seed and fault schedule, an engine job family —
+into a single kernel call planned once.
 
 Span-level timeline traces do not need the event path either: the
 kernels optionally record the intermediate arrays that delimit span
@@ -50,14 +51,13 @@ event-identical :class:`~repro.simulator.trace.IterationTrace` objects.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..collectives import ring_allreduce_time_batch
 from ..errors import ConfigurationError
-from ..faults import ResolvedFaults
-from ..network import Fabric
+from ..faults import FaultInjector, FaultSchedule, ResolvedFaults
 from ..telemetry.metrics import get_registry
 from .ddp import DDPSimulator, TimingResult
 
@@ -181,35 +181,36 @@ class _FaultRows:
         self.bw = bw        # bandwidth scale (<= 1)
         self.p = p          # surviving world size (int)
         self.stall = stall  # start-of-iteration stall seconds
+        self.worlds = np.unique(p)  # its distinct values
 
 
-#: One member of a stacked batch call: its simulator, its row slice,
-#: and its resolved fault range (``None`` for a fault-free member).
-_Member = Tuple[DDPSimulator, slice, Optional[ResolvedFaults]]
+#: One member of a stacked batch call: its row slice, its fault
+#: injector and its resolved fault range (both ``None`` for a fault-free
+#: member).
+_Member = Tuple[slice, Optional[FaultInjector], Optional[ResolvedFaults]]
 
 
-def _stack_member_faults(sims: Sequence[DDPSimulator],
+def _stack_member_faults(sim: DDPSimulator,
+                         injectors: Sequence[Optional[FaultInjector]],
                          n: int) -> Tuple[_FaultRows, List[_Member]]:
     """Resolve every member's fault schedule into stacked row arrays."""
     slows, bws, ps, stalls = [], [], [], []
     members: List[_Member] = []
-    row = 0
-    for sim in sims:
-        sl = slice(row, row + n)
-        if sim._injector is None:
+    for index, injector in enumerate(injectors):
+        sl = slice(index * n, (index + 1) * n)
+        if injector is None:
             slows.append(np.ones(n))
             bws.append(np.ones(n))
             ps.append(np.full(n, sim.cluster.world_size, dtype=np.int64))
             stalls.append(np.zeros(n))
             resolved = None
         else:
-            resolved = sim._injector.resolve_range(0, n)
+            resolved = injector.resolve_range(0, n)
             slows.append(resolved.compute_slowdown)
             bws.append(resolved.bandwidth_scale)
             ps.append(resolved.world_size)
             stalls.append(resolved.stall_s)
-        members.append((sim, sl, resolved))
-        row += n
+        members.append((sl, injector, resolved))
     F = _FaultRows(np.concatenate(slows), np.concatenate(bws),
                    np.concatenate(ps), np.concatenate(stalls))
     return F, members
@@ -229,8 +230,10 @@ def _combos(F: _FaultRows) -> List[Tuple[Tuple[int, float], np.ndarray]]:
 
 def _per_p(F: _FaultRows, fn: Callable[[int], float]) -> np.ndarray:
     """Map a per-world-size scalar onto rows (one call per distinct p)."""
+    if F.worlds.size == 1:
+        return np.full(F.p.size, fn(int(F.worlds[0])))
     out = np.empty(F.p.size)
-    for p in np.unique(F.p):
+    for p in F.worlds:
         out[F.p == p] = fn(int(p))
     return out
 
@@ -242,20 +245,17 @@ def _retransmit_arrays(members: Sequence[_Member], durations: np.ndarray,
     ``durations`` is the jittered transfer-duration matrix ``(N, T)``;
     members without retransmit risk contribute zeros without touching
     any RNG (exactly like the event path, which never rolls the dice
-    for them)."""
+    for them).  Each risky member's cells go through one vectorized
+    stream call."""
     N, T = durations.shape
     delays = np.zeros((N, T))
     replays = np.zeros((N, T), dtype=np.int64)
-    for sim, sl, resolved in members:
+    for sl, injector, resolved in members:
         if resolved is None or not resolved.has_retransmits:
             continue
-        injector = sim._injector
         assert injector is not None
-        for t in range(T):
-            d, r = injector.retransmit_delay_range(
-                0, len(resolved), t, durations[sl, t])
-            delays[sl, t] = d
-            replays[sl, t] = r
+        delays[sl], replays[sl] = injector.retransmit_delay_range(
+            resolved, durations[sl])
     return delays, replays
 
 
@@ -277,29 +277,29 @@ FaultedKernel = Callable[
 PresenceFn = Callable[[_FaultRows], np.ndarray]
 
 
-def _plan_baseline_faulted(lead: DDPSimulator, bs: int,
+def _plan_baseline_faulted(sim: DDPSimulator, bs: int,
                            layout: _SlotLayout,
                            ) -> Tuple[PresenceFn, FaultedKernel]:
     """Faulted syncSGD / ddp_overlap: bucketed, overlapped all-reduce."""
-    cfg = lead.config
-    fwd_base = lead._forward_time(bs)
-    opt_base = lead._optimizer_time()
-    bucket_sizes, close_idx = lead._baseline_bucket_plan()
+    cfg = sim.config
+    fwd_base = sim._forward_time(bs)
+    opt_base = sim._optimizer_time()
+    bucket_sizes, close_idx = sim._baseline_bucket_plan()
     sizes = np.asarray(bucket_sizes, dtype=float)
     nb = len(bucket_sizes)
-    base_layers = np.asarray(lead._backward_base_times(bs), dtype=float)
+    base_layers = np.asarray(sim._backward_base_times(bs), dtype=float)
     overlap_enabled = cfg.overlap_communication
-    has_hook = not lead._is_baseline
+    has_hook = not sim._is_baseline
 
     def wire_scale_at(p: int) -> float:
-        if lead._is_baseline:
+        if sim._is_baseline:
             return 1.0
-        return lead._scheme_cost(p).wire_bytes / lead.model.grad_bytes
+        return sim._scheme_cost(p).wire_bytes / sim.model.grad_bytes
 
     def hook_at(p: int) -> float:
-        if lead._is_baseline:
+        if sim._is_baseline:
             return 0.0
-        return lead._scheme_cost(p).encode_decode_s
+        return sim._scheme_cost(p).encode_decode_s
 
     # Event-path draw order: forward, per layer, per bucket collective
     # (drawn even at p == 1), bucket-cast when the hook cost at that
@@ -336,7 +336,7 @@ def _plan_baseline_faulted(lead: DDPSimulator, bs: int,
         for (p, bw), rows in _combos(F):
             if p > 1:
                 durs[rows] = _allreduce_times(
-                    lead, sizes * wire_scale_at(p), p, bw)
+                    sim, sizes * wire_scale_at(p), p, bw)
         durations = durs * _cols(J, sl_comm, N, nb)
         delays, replays = _retransmit_arrays(members, durations)
         # The FIFO comm-stream recurrence, with each bucket's
@@ -378,15 +378,15 @@ def _plan_baseline_faulted(lead: DDPSimulator, bs: int,
     return presence, kernel
 
 
-def _plan_sequential_faulted(lead: DDPSimulator, bs: int,
+def _plan_sequential_faulted(sim: DDPSimulator, bs: int,
                              layout: _SlotLayout,
                              ) -> Tuple[PresenceFn, FaultedKernel]:
     """Faulted sequential compression: encode → collective → decode."""
-    cfg = lead.config
-    fwd_base = lead._forward_time(bs)
-    bwd_base = lead._backward_time(bs)
-    hook_over = lead._hook_overhead()
-    opt_base = lead._optimizer_time()
+    cfg = sim.config
+    fwd_base = sim._forward_time(bs)
+    bwd_base = sim._backward_time(bs)
+    hook_over = sim._hook_overhead()
+    opt_base = sim._optimizer_time()
 
     # Draw order: forward, backward, encode/decode, collective (only
     # when that iteration's world size exceeds 1), optimizer.
@@ -406,13 +406,13 @@ def _plan_sequential_faulted(lead: DDPSimulator, bs: int,
                record: Optional[Dict[str, Any]] = None):
         N = F.p.size
         enc_row = _per_p(
-            F, lambda p: lead._scheme_cost(p).encode_decode_s + hook_over)
-        wire_row = _per_p(F, lambda p: lead._scheme_cost(p).wire_bytes)
+            F, lambda p: sim._scheme_cost(p).encode_decode_s + hook_over)
+        wire_row = _per_p(F, lambda p: sim._scheme_cost(p).wire_bytes)
         comm_base = np.zeros(N)
         for (p, bw), rows in _combos(F):
             if p > 1:
-                comm_base[rows] = lead._collective_time(
-                    lead._scheme_cost(p), p, bw)
+                comm_base[rows] = sim._collective_time(
+                    sim._scheme_cost(p), p, bw)
         fwd_end = F.stall + (fwd_base * F.slow) * _col(J, c_fwd, N)
         backward_end = fwd_end + (bwd_base * F.slow) * _col(J, c_bwd, N)
         enc_dec = (enc_row * F.slow) * _col(J, c_enc, N)
@@ -437,15 +437,15 @@ def _plan_sequential_faulted(lead: DDPSimulator, bs: int,
     return presence, kernel
 
 
-def _plan_overlapped_faulted(lead: DDPSimulator, bs: int,
+def _plan_overlapped_faulted(sim: DDPSimulator, bs: int,
                              layout: _SlotLayout,
                              ) -> Tuple[PresenceFn, FaultedKernel]:
     """Faulted Figure-3 strategy: encode interleaved with backward."""
-    cfg = lead.config
-    fwd_base = lead._forward_time(bs)
-    bwd_base = lead._backward_time(bs)
-    hook_over = lead._hook_overhead()
-    opt_base = lead._optimizer_time()
+    cfg = sim.config
+    fwd_base = sim._forward_time(bs)
+    bwd_base = sim._backward_time(bs)
+    hook_over = sim._hook_overhead()
+    opt_base = sim._optimizer_time()
     pen = cfg.contention_penalty
     waves = 4
 
@@ -464,13 +464,13 @@ def _plan_overlapped_faulted(lead: DDPSimulator, bs: int,
                record: Optional[Dict[str, Any]] = None):
         N = F.p.size
         enc_row = _per_p(
-            F, lambda p: lead._scheme_cost(p).encode_decode_s + hook_over)
-        wire_row = _per_p(F, lambda p: lead._scheme_cost(p).wire_bytes)
+            F, lambda p: sim._scheme_cost(p).encode_decode_s + hook_over)
+        wire_row = _per_p(F, lambda p: sim._scheme_cost(p).wire_bytes)
         comm_base = np.zeros(N)
         for (p, bw), rows in _combos(F):
             if p > 1:
-                comm_base[rows] = lead._collective_time(
-                    lead._scheme_cost(p), p, bw)
+                comm_base[rows] = sim._collective_time(
+                    sim._scheme_cost(p), p, bw)
         fwd_end = F.stall + (fwd_base * F.slow) * _col(J, c_fwd, N)
         t_bwd = (bwd_base * F.slow) * _col(J, c_bwd, N)
         enc_dec = (enc_row * F.slow) * _col(J, c_enc, N)
@@ -514,12 +514,13 @@ def _plan_overlapped_faulted(lead: DDPSimulator, bs: int,
     return presence, kernel
 
 
-def _plan_run(sims: Sequence[DDPSimulator], bs: int, iterations: int,
+def _plan_run(sim: DDPSimulator, bs: int, iterations: int,
               seeds: Sequence[int],
+              injectors: Sequence[Optional[FaultInjector]],
               ) -> Tuple[FaultedKernel, np.ndarray, _FaultRows,
                          List[_Member]]:
-    """Everything a kernel call needs: the lead's planned kernel, every
-    member's jitter matrix, and their stacked fault rows.
+    """Everything a kernel call needs: the simulator's planned kernel,
+    every member's jitter matrix, and their stacked fault rows.
 
     The execution path — bucketed baseline (syncSGD and ``ddp_overlap``
     schemes), overlapped compression, or sequential compression — is
@@ -529,95 +530,92 @@ def _plan_run(sims: Sequence[DDPSimulator], bs: int, iterations: int,
     Raises:
         OutOfMemoryError: the deterministic OOM the event path raises.
             Memory is structural (model, batch size, config), so one
-            check covers every member.
+            check covers every member, and it counts one OOM per member.
     """
-    lead = sims[0]
-    if lead.config.check_memory:
-        lead.check_memory(bs)
+    if sim.config.check_memory:
+        sim.check_memory(bs, runs=len(seeds))
     layout = _SlotLayout()
-    if lead._is_baseline or lead.scheme.ddp_overlap:
-        presence_fn, kernel = _plan_baseline_faulted(lead, bs, layout)
-    elif lead.config.overlap_compression:
-        presence_fn, kernel = _plan_overlapped_faulted(lead, bs, layout)
+    if sim._is_baseline or sim.scheme.ddp_overlap:
+        presence_fn, kernel = _plan_baseline_faulted(sim, bs, layout)
+    elif sim.config.overlap_compression:
+        presence_fn, kernel = _plan_overlapped_faulted(sim, bs, layout)
     else:
-        presence_fn, kernel = _plan_sequential_faulted(lead, bs, layout)
-    F, members = _stack_member_faults(sims, iterations)
+        presence_fn, kernel = _plan_sequential_faulted(sim, bs, layout)
+    F, members = _stack_member_faults(sim, injectors, iterations)
     present = presence_fn(F)
     J = np.ones((F.p.size, len(layout.sigmas)))
-    for (_, sl, _), seed in zip(members, seeds):
+    for (sl, _, _), seed in zip(members, seeds):
         J[sl] = layout.draw(np.random.default_rng(seed), present[sl])
     return kernel, J, F, members
-
-
-def _same_pricing(a: Fabric, b: Fabric) -> bool:
-    """Whether two fabrics price every collective identically."""
-    return a is b or (a.alpha_s == b.alpha_s
-                      and a.bandwidth_jitter == b.bandwidth_jitter
-                      and a.incast_per_sender == b.incast_per_sender
-                      and np.array_equal(a._pair_bw, b._pair_bw))
 
 
 # ----- entry points ------------------------------------------------------------
 
 
-def run_batch_many(sims: Sequence[DDPSimulator],
+def run_batch_many(sim: DDPSimulator,
                    batch_size: Optional[int] = None,
                    iterations: int = 110, warmup: int = 10,
-                   seeds: Sequence[int] = (0,)) -> List[TimingResult]:
-    """Evaluate one or more runs — faulted or not — in one kernel call.
+                   seeds: Sequence[int] = (0,),
+                   faults: Optional[Sequence[Optional[FaultSchedule]]] = None,
+                   ) -> List[TimingResult]:
+    """Evaluate one or more runs of ``sim`` — faulted or not — in one
+    kernel call.
 
-    Every simulator must share the structural state the kernel prices
-    once from the lead (model, cluster, fabric, scheme, config, kernel
-    profile); members may differ in fault schedule and seed.  This is
-    the cross-config batch dimension: an engine job family (for example
-    the reliability exhibit's clean/NIC-straggler/compute-straggler
-    triplets) evaluates as one stacked array computation instead of one
-    kernel call per job.
+    Members share everything the kernel prices once (model, cluster,
+    fabric, scheme, config, kernel profile: the simulator itself) and
+    differ only in jitter seed and fault schedule.  This is the
+    cross-config batch dimension: an engine job family (for example the
+    reliability exhibit's clean/NIC-straggler/compute-straggler
+    triplets) evaluates as one stacked array computation, planned once.
 
-    Each member's :class:`TimingResult` is bit-identical to its own
-    ``sim.run(..., mode="event")``; members' RNG streams are fully
-    independent (per-member jitter seed, per-member schedule seed), so
-    stacking changes nothing but wall-clock time.
+    ``faults`` gives each member's schedule (``None`` or an empty
+    schedule for a fault-free member); each faulted member gets its own
+    :class:`~repro.faults.FaultInjector` on ``sim``'s fabric.  Without
+    ``faults`` every member runs ``sim``'s own schedule through
+    ``sim.injector``, whose run counters then describe the last member.
+
+    Each member's :class:`TimingResult` is bit-identical to the event
+    loop's ``run(..., mode="event")`` of a simulator built with that
+    member's schedule; members' RNG streams are fully independent
+    (per-member jitter seed, per-member schedule seed), so stacking
+    changes nothing but wall-clock time.
 
     Raises:
-        ConfigurationError: invalid protocol, mismatched members, or a
-            seed count that does not match the member count.
+        ConfigurationError: invalid protocol, a schedule that does not
+            fit the cluster, or a seed or schedule count that does not
+            match the member count.
         OutOfMemoryError: the same deterministic OOM the event path
             raises (memory state is structural, so it is shared by
             every member).
     """
-    if not sims:
-        raise ConfigurationError("run_batch_many needs >= 1 simulator")
-    if len(seeds) != len(sims):
-        raise ConfigurationError(
-            f"got {len(sims)} simulators but {len(seeds)} seeds")
+    if not seeds:
+        raise ConfigurationError("run_batch_many needs >= 1 member seed")
     if iterations <= warmup:
         raise ConfigurationError(
             f"iterations ({iterations}) must exceed warmup ({warmup})")
-    lead = sims[0]
-    for sim in sims[1:]:
-        if (sim.model.name != lead.model.name
-                or sim.cluster != lead.cluster
-                or sim.scheme.label != lead.scheme.label
-                or sim.config != lead.config
-                or sim.profile != lead.profile
-                or not _same_pricing(sim.fabric, lead.fabric)):
-            raise ConfigurationError(
-                "run_batch_many members must share model, cluster, "
-                "fabric, scheme, config and kernel profile (only "
-                "faults and seeds may differ)")
-    bs = batch_size if batch_size is not None else lead.model.default_batch_size
-    kernel, J, F, members = _plan_run(sims, bs, iterations, seeds)
+    if faults is None:
+        injectors: List[Optional[FaultInjector]] = (
+            [sim._injector] * len(seeds))
+    elif len(faults) != len(seeds):
+        raise ConfigurationError(
+            f"got {len(seeds)} seeds but {len(faults)} fault schedules")
+    else:
+        injectors = [
+            None if schedule is None or schedule.is_empty
+            else FaultInjector(schedule, sim.cluster, sim.fabric)
+            for schedule in faults]
+    bs = batch_size if batch_size is not None else sim.model.default_batch_size
+    kernel, J, F, members = _plan_run(sim, bs, iterations, seeds, injectors)
     fwd_end, sync_end, iter_end, wire, delays, replays = kernel(
         J, F, members)
     sync = sync_end - fwd_end
 
     registry = get_registry()
+    label = sim.scheme.label
     results: List[TimingResult] = []
-    for sim, sl, resolved in members:
+    for sl, injector, resolved in members:
         member_sync = sync[sl]
         member_iter = iter_end[sl]
-        injector = sim._injector
         if injector is not None:
             # Rebuild the event path's per-run counters: total replays,
             # and the delay accumulated in its (iteration, transfer)
@@ -638,26 +636,24 @@ def run_batch_many(sims: Sequence[DDPSimulator],
                     registry.histogram(
                         "sim_fault_retransmit_delay_s").observe(
                         float(member_delays[idx]))
-                for state in resolved.states:
-                    injector.record_iteration(state)
+                injector.record_range(resolved)
         if registry.enabled:
-            label = sim.scheme.label
             registry.counter("sim_iterations_total",
                              scheme=label).inc(iterations)
             hist = registry.histogram("sim_sync_time_s", scheme=label)
-            for value in member_sync:
-                hist.observe(float(value))
+            for value in member_sync.tolist():
+                hist.observe(value)
             wire_total = float(wire[sl].sum())
             if wire_total > 0:
                 registry.counter("sim_wire_bytes_total",
                                  scheme=label).inc(wire_total)
         results.append(TimingResult(
             model=sim.model.name,
-            scheme=sim.scheme.label,
+            scheme=label,
             world_size=sim.cluster.world_size,
             batch_size=bs,
-            sync_times=tuple(float(x) for x in member_sync[warmup:]),
-            iteration_times=tuple(float(x) for x in member_iter[warmup:]),
+            sync_times=tuple(member_sync[warmup:].tolist()),
+            iteration_times=tuple(member_iter[warmup:].tolist()),
         ))
     return results
 
@@ -677,8 +673,5 @@ def run_batch(sim: DDPSimulator, batch_size: Optional[int] = None,
             raises on its first iteration (checked once — it cannot
             vary across iterations).
     """
-    if iterations <= warmup:
-        raise ConfigurationError(
-            f"iterations ({iterations}) must exceed warmup ({warmup})")
-    return run_batch_many([sim], batch_size, iterations=iterations,
+    return run_batch_many(sim, batch_size, iterations=iterations,
                           warmup=warmup, seeds=(seed,))[0]

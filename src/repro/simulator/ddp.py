@@ -243,8 +243,11 @@ class DDPSimulator:
 
     # ----- memory ------------------------------------------------------------
 
-    def check_memory(self, batch_size: int) -> float:
+    def check_memory(self, batch_size: int, runs: int = 1) -> float:
         """Validate the per-GPU memory budget; returns required bytes.
+
+        A failure counts ``runs`` OOMs in ``sim_oom_total``: the runs
+        it ends (a stacked batch call ends every member at once).
 
         Raises:
             OutOfMemoryError: when training state + activations + the
@@ -257,7 +260,7 @@ class DDPSimulator:
         if not fits:
             get_registry().counter(
                 "sim_oom_total", model=self.model.name,
-                scheme=self.scheme.label).inc()
+                scheme=self.scheme.label).inc(runs)
             raise OutOfMemoryError(
                 f"{self.model.name} with {self.scheme.label} at "
                 f"{p} GPUs needs {required / 1e9:.1f} GB "

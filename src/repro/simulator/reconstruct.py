@@ -62,14 +62,15 @@ def reconstruct_traces(sim: DDPSimulator,
             f"iterations must be >= 1, got {iterations}")
     bs = (batch_size if batch_size is not None
           else sim.model.default_batch_size)
-    kernel, J, F, members = _plan_run([sim], bs, iterations, (seed,))
+    injector = sim._injector
+    kernel, J, F, members = _plan_run(sim, bs, iterations, (seed,),
+                                      (injector,))
     record: Dict[str, Any] = {}
     kernel(J, F, members, record=record)
     assemble = _ASSEMBLERS[record["path"]]
-    resolved = members[0][2]
     traces: List[IterationTrace] = []
     for i in range(iterations):
-        state = resolved.states[i] if resolved is not None else None
+        state = injector.faults_for(i) if injector is not None else None
         trace = assemble(i, record, F, state)
         if state is not None and state.active:
             trace.add(Span(FAULT_STREAM, "+".join(state.active),

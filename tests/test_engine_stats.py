@@ -246,3 +246,36 @@ class TestCollectiveTelemetry:
         assert counters[
             'collective_incast_degraded_total'
             '{algorithm="allgather"}'] == 1.0
+
+
+class TestOomCountsPerRun:
+    """``sim_oom_total`` counts one OOM per job, however the engine
+    grouped the jobs."""
+
+    @staticmethod
+    def _oom_counters(jobs, chunking):
+        registry = telemetry_metrics.enable()
+        engine = ExperimentEngine(chunking=chunking)
+        outcomes = engine.run_outcomes(jobs)
+        assert all(o.oom is not None for o in outcomes)
+        counters = registry.snapshot()["counters"]
+        return {key: value for key, value in counters.items()
+                if "oom" in key}
+
+    def test_family_counts_equal_lone_runs(self):
+        from repro.compression import make_scheme
+        job = SimJob(model=get_model("bert-base"),
+                     cluster=cluster_for_gpus(64),
+                     scheme=make_scheme("atomo", rank=4), iterations=12,
+                     warmup=2)
+        lone = self._oom_counters([job], chunking=True)
+        key = 'sim_oom_total{model="bert-base",scheme="atomo(rank=4)"}'
+        assert lone[key] == 1.0
+        family = [SimJob(model=job.model, cluster=job.cluster,
+                         scheme=job.scheme, iterations=12, warmup=2,
+                         seed=seed) for seed in range(3)]
+        stacked = self._oom_counters(family, chunking=True)
+        alone = self._oom_counters(family, chunking=False)
+        assert stacked == alone
+        assert stacked[key] == 3.0
+        assert stacked["engine_oom_outcomes_total"] == 3.0

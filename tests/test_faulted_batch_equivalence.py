@@ -215,18 +215,29 @@ def degraded_fabric(cluster):
     return fabric
 
 
+def _spy_run_batch_many(monkeypatch):
+    """Record the member count of every ``run_batch_many`` call."""
+    import repro.simulator.batch as batch_module
+    calls = []
+    real = batch_module.run_batch_many
+
+    def spy(sim, *args, **kwargs):
+        calls.append(len(kwargs["seeds"]))
+        return real(sim, *args, **kwargs)
+
+    monkeypatch.setattr(batch_module, "run_batch_many", spy)
+    return calls
+
+
 class TestRunBatchMany:
     """The cross-config batch dimension: many runs, one kernel call."""
-
-    def _sims(self, rn50, schedules, gpus=16):
-        return [make_sim(rn50, PowerSGDScheme(rank=4), gpus,
-                         faults=faults) for faults in schedules]
 
     def test_stacked_members_match_individual_event_runs(self, rn50):
         schedules = [None, SCHEDULES["nic-straggler"],
                      SCHEDULES["straggler-windowed"]]
-        got = run_batch_many(self._sims(rn50, schedules),
-                             iterations=14, warmup=3, seeds=(3, 3, 3))
+        got = run_batch_many(make_sim(rn50, PowerSGDScheme(rank=4), 16),
+                             iterations=14, warmup=3, seeds=(3, 3, 3),
+                             faults=schedules)
         for faults, result in zip(schedules, got):
             ref = make_sim(rn50, PowerSGDScheme(rank=4), 16,
                            faults=faults).run(
@@ -235,41 +246,59 @@ class TestRunBatchMany:
 
     def test_member_seeds_are_independent(self, rn50):
         faults = SCHEDULES["nic-straggler"]
-        got = run_batch_many(self._sims(rn50, [faults, faults]),
-                             iterations=14, warmup=3, seeds=(3, 9))
+        got = run_batch_many(make_sim(rn50, PowerSGDScheme(rank=4), 16),
+                             iterations=14, warmup=3, seeds=(3, 9),
+                             faults=[faults, faults])
         for seed, result in zip((3, 9), got):
             ref = make_sim(rn50, PowerSGDScheme(rank=4), 16,
                            faults=faults).run(
                 iterations=14, warmup=3, seed=seed, mode="event")
             assert result == ref
 
-    def test_mismatched_members_rejected(self, rn50):
-        sims = [make_sim(rn50, PowerSGDScheme(rank=4), 16),
-                make_sim(rn50, PowerSGDScheme(rank=4), 32)]
-        with pytest.raises(ConfigurationError, match="share"):
-            run_batch_many(sims, iterations=12, warmup=2, seeds=(0, 0))
+    # A member that does not share the simulator's structural state is
+    # rejected from the stacked call one level up: its jobs carry
+    # another family_key(), so the engine gives it a kernel call of its
+    # own, and every job still equals its lone event-loop run.
+
+    @staticmethod
+    def _assert_rejected_from_family(monkeypatch, lead, other):
+        jobs = [replace(job, seed=seed, iterations=12, warmup=2)
+                for job in (lead, other) for seed in (0, 1)]
+        assert lead.family_key() != other.family_key()
+        calls = _spy_run_batch_many(monkeypatch)
+        outcomes = ExperimentEngine().run_outcomes(jobs)
+        assert calls == [2, 2]
+        for job, outcome in zip(jobs, outcomes):
+            assert outcome.unwrap() == job.build_simulator().run(
+                iterations=12, warmup=2, seed=job.seed, mode="event")
+
+    def test_mismatched_members_rejected(self, rn50, monkeypatch):
+        self._assert_rejected_from_family(
+            monkeypatch,
+            SimJob(model=rn50, cluster=cluster_for_gpus(16),
+                   scheme=PowerSGDScheme(rank=4)),
+            SimJob(model=rn50, cluster=cluster_for_gpus(32),
+                   scheme=PowerSGDScheme(rank=4)))
 
     @pytest.mark.parametrize("lead_gbps,member_gbps", [(1, 100), (100, 1)])
-    def test_member_with_other_nic_speed_rejected(self, rn50, lead_gbps,
-                                                  member_gbps):
+    def test_member_with_other_nic_speed_rejected(self, rn50, monkeypatch,
+                                                  lead_gbps, member_gbps):
         """Same world size, different fabric speed: the member must not
         be priced with the lead's bandwidth."""
-        sims = [DDPSimulator(
-            rn50, cluster_for_gpus(
+        lead, other = [SimJob(
+            model=rn50, cluster=cluster_for_gpus(
                 8, instance=P3_8XLARGE.with_network_gbps(gbps)),
             scheme=PowerSGDScheme(rank=4))
             for gbps in (lead_gbps, member_gbps)]
-        with pytest.raises(ConfigurationError, match="share"):
-            run_batch_many(sims, iterations=12, warmup=2, seeds=(0, 0))
+        self._assert_rejected_from_family(monkeypatch, lead, other)
 
-    def test_member_with_other_kernel_profile_rejected(self, rn50):
-        lead = make_sim(rn50, PowerSGDScheme(rank=4))
-        member = DDPSimulator(rn50, cluster_for_gpus(8),
-                              scheme=PowerSGDScheme(rank=4),
-                              kernel_profile=lead.profile.scaled(100))
-        with pytest.raises(ConfigurationError, match="share"):
-            run_batch_many([lead, member], iterations=12, warmup=2,
-                           seeds=(0, 0))
+    def test_member_with_other_kernel_profile_rejected(self, rn50,
+                                                       monkeypatch):
+        lead = SimJob(model=rn50, cluster=cluster_for_gpus(8),
+                      scheme=PowerSGDScheme(rank=4))
+        other = replace(lead, profile=lead.build_simulator().profile.scaled(
+            100))
+        self._assert_rejected_from_family(monkeypatch, lead, other)
 
     @pytest.mark.parametrize("fabric_fn", [
         lambda cluster: Fabric(cluster, alpha_s=1e-3),
@@ -277,17 +306,17 @@ class TestRunBatchMany:
         lambda cluster: Fabric(cluster, bandwidth_jitter=0.2),
         degraded_fabric,
     ], ids=["alpha", "incast", "jitter", "degraded-link"])
-    def test_member_with_other_fabric_rejected(self, rn50, fabric_fn):
+    def test_member_with_other_fabric_rejected(self, rn50, monkeypatch,
+                                               fabric_fn):
         cluster = cluster_for_gpus(16)
-        sims = [make_sim(rn50, PowerSGDScheme(rank=4), 16),
-                DDPSimulator(rn50, cluster, scheme=PowerSGDScheme(rank=4),
-                             fabric=fabric_fn(cluster))]
-        with pytest.raises(ConfigurationError, match="share"):
-            run_batch_many(sims, iterations=12, warmup=2, seeds=(0, 0))
+        lead = SimJob(model=rn50, cluster=cluster,
+                      scheme=PowerSGDScheme(rank=4))
+        self._assert_rejected_from_family(
+            monkeypatch, lead, replace(lead, fabric=fabric_fn(cluster)))
 
-    def test_engine_family_still_stacks(self, rn50):
+    def test_engine_family_still_stacks(self, rn50, monkeypatch):
         """Jobs with one family_key() but different seeds and faults
-        build simulators the guard accepts, and stack bit-identically."""
+        run as one stacked call, bit-identical to their event runs."""
         jobs = [SimJob(model=rn50, cluster=cluster_for_gpus(16),
                        scheme=PowerSGDScheme(rank=4), iterations=14,
                        warmup=3, seed=seed, faults=faults)
@@ -295,21 +324,31 @@ class TestRunBatchMany:
                                      (1, SCHEDULES["nic-straggler"]),
                                      (2, SCHEDULES["retransmit-storm"]))]
         assert len({job.family_key() for job in jobs}) == 1
-        got = run_batch_many([job.build_simulator() for job in jobs],
-                             iterations=14, warmup=3,
-                             seeds=[job.seed for job in jobs])
-        for job, result in zip(jobs, got):
-            assert result == job.build_simulator().run(
+        calls = _spy_run_batch_many(monkeypatch)
+        got = ExperimentEngine().run_outcomes(jobs)
+        assert calls == [3]
+        for job, outcome in zip(jobs, got):
+            assert outcome.unwrap() == job.build_simulator().run(
                 iterations=14, warmup=3, seed=job.seed, mode="event")
 
     def test_seed_count_must_match(self, rn50):
-        sims = [make_sim(rn50, PowerSGDScheme(rank=4), 16)]
+        sim = make_sim(rn50, PowerSGDScheme(rank=4), 16)
         with pytest.raises(ConfigurationError, match="seeds"):
-            run_batch_many(sims, iterations=12, warmup=2, seeds=(0, 1))
+            run_batch_many(sim, iterations=12, warmup=2, seeds=(0, 1),
+                           faults=[None])
 
-    def test_empty_batch_rejected(self):
+    def test_empty_batch_rejected(self, rn50):
+        sim = make_sim(rn50, PowerSGDScheme(rank=4), 16)
         with pytest.raises(ConfigurationError):
-            run_batch_many([], iterations=12, warmup=2, seeds=())
+            run_batch_many(sim, iterations=12, warmup=2, seeds=())
+
+    def test_schedule_outside_the_cluster_rejected(self, rn50):
+        sim = make_sim(rn50, PowerSGDScheme(rank=4), 8)
+        bad = FaultSchedule(stragglers=[StragglerFault(worker=8,
+                                                       slowdown=2.0)])
+        with pytest.raises(ConfigurationError, match="out of range"):
+            run_batch_many(sim, iterations=12, warmup=2, seeds=(0, 1),
+                           faults=[None, bad])
 
 
 class TestTelemetryExecutionShape:
@@ -335,14 +374,19 @@ class TestTelemetryExecutionShape:
     @pytest.mark.parametrize("faults", [None, SCHEDULES["kitchen-sink"]],
                              ids=["clean", "faulted"])
     def test_alone_equals_stacked(self, rn50, faults):
-        def sim():
+        def sim(schedule=faults):
             return make_sim(rn50, TopKScheme(fraction=0.01), 8,
-                            faults=faults)
+                            faults=schedule)
         alone = self._metrics(lambda: run_batch(
             sim(), iterations=30, warmup=5, seed=0))
         stacked = self._metrics(lambda: run_batch_many(
-            [sim()], iterations=30, warmup=5, seeds=(0,)))
-        assert alone == stacked
+            sim(), iterations=30, warmup=5, seeds=(0,)))
+        # The member's schedule handed over per member, as the engine
+        # does for a family, on a fault-free simulator.
+        member = self._metrics(lambda: run_batch_many(
+            sim(None), iterations=30, warmup=5, seeds=(0,),
+            faults=[faults]))
+        assert alone == stacked == member
         assert alone[0] == 30 and alone[1] == 30 and alone[3] > 0
 
 
@@ -410,6 +454,44 @@ class TestEngineFamilyBatching:
         stats = engine.stats()
         assert stats.jobs_batched == 6
         assert stats.to_dict()["jobs_batched"] == 6
+
+    def test_one_simulator_per_family(self, rn50, monkeypatch):
+        built = []
+        real_init = DDPSimulator.__init__
+
+        def counting_init(sim, *args, **kwargs):
+            built.append(sim)
+            real_init(sim, *args, **kwargs)
+
+        monkeypatch.setattr(DDPSimulator, "__init__", counting_init)
+        jobs = self._jobs(rn50)
+        outcomes = ExperimentEngine(chunking=True).run_outcomes(jobs)
+        assert all(o.ok for o in outcomes)
+        # Two families (8 and 16 GPUs) of three members each.
+        assert len({job.family_key() for job in jobs}) == 2
+        assert len(built) == 2
+
+    def test_member_outside_the_cluster_fails_alone(self, rn50):
+        jobs = self._jobs(rn50)[:2]  # 8 and 16 GPUs, fault-free
+        bad = replace(jobs[0], seed=5, faults=FaultSchedule(
+            stragglers=[StragglerFault(worker=8, slowdown=2.0)]))
+        family = [jobs[0], bad, replace(jobs[0], seed=9)]
+        engine = ExperimentEngine(chunking=True)
+        outcomes = engine.run_outcomes(family)
+        assert [o.failed for o in outcomes] == [False, True, False]
+        assert engine.jobs_batched == 3
+        for job, outcome in zip(family[::2], outcomes[::2]):
+            assert outcome.unwrap() == job.build_simulator().run(
+                iterations=14, warmup=3, seed=job.seed, mode="event")
+        # The same error, and the same single attempt, as a lone run.
+        lone_engine = ExperimentEngine()
+        lone = lone_engine.run_outcomes([bad])[0]
+        assert (lone.error, lone.attempts) == (outcomes[1].error,
+                                               outcomes[1].attempts) \
+            == ("ConfigurationError: straggler worker 8 out of range "
+                "for 8 workers", 1)
+        assert engine.failures == lone_engine.failures == 1
+        assert engine.retries == lone_engine.retries == 0
 
 
 class TestVectorizedFaultPrimitives:

@@ -474,7 +474,8 @@ class TestResolveRange:
         assert len(resolved) == 12
         for i in range(12):
             state = inj.faults_for(i)
-            assert resolved.states[i] == state
+            assert tuple(label for label, mask in resolved.active.items()
+                         if mask[i]) == state.active
             assert resolved.compute_slowdown[i] == state.compute_slowdown
             assert resolved.bandwidth_scale[i] == state.bandwidth_scale
             assert resolved.world_size[i] == state.world_size
@@ -502,16 +503,18 @@ class TestResolveRange:
         durations = [1e-3 * (i + 1) for i in range(20)]
         import numpy as np
         delays, replays = vec.retransmit_delay_range(
-            0, 20, 1, np.asarray(durations))
+            vec.resolve_range(0, 20),
+            np.asarray(durations)[:, None].repeat(2, axis=1))
         for i, dur in enumerate(durations):
             d, r = scalar.retransmit_delay(i, 1, dur)
-            assert delays[i] == d  # bitwise
-            assert replays[i] == r
+            assert delays[i, 1] == d  # bitwise
+            assert replays[i, 1] == r
 
     def test_retransmit_delay_range_is_pure(self, small_cluster):
         inj = self._injector(small_cluster, FaultSchedule(retransmits=[
             RetransmitFault(drop_rate=0.5)]))
         import numpy as np
-        inj.retransmit_delay_range(0, 10, 0, np.full(10, 1e-3))
+        inj.retransmit_delay_range(inj.resolve_range(0, 10),
+                                   np.full((10, 1), 1e-3))
         assert inj.retransmits_injected == 0
         assert inj.retransmit_delay_s == 0.0

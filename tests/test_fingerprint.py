@@ -27,6 +27,8 @@ from repro.engine import advisorjobs, engine, modeljobs
 from repro.engine.fingerprint import (
     Fragment,
     canonical_json,
+    cluster_fragment,
+    config_fragment,
     digest,
     model_fragment,
 )
@@ -34,6 +36,7 @@ from repro.faults import FaultSchedule, NodeFault, StragglerFault
 from repro.hardware import cluster_for_gpus
 from repro.models import available_models, get_model, resnet50
 from repro.models.layers import FINGERPRINT_MEMO
+from repro.simulator import DDPConfig
 from repro.units import GIGA
 
 #: Keys recorded before the model fragment was memoized.
@@ -81,6 +84,36 @@ def oracle_digest(payload: Any) -> str:
         oracle_canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def oracle_cluster_fingerprint(cluster) -> Dict[str, Any]:
+    """Cluster identity: topology, seed, instance and GPU parameters."""
+    instance = cluster.instance
+    gpu = instance.gpu
+    return {
+        "num_nodes": cluster.num_nodes,
+        "seed": cluster.seed,
+        "instance": {
+            "name": instance.name,
+            "gpus_per_node": instance.gpus_per_node,
+            "network_bytes_per_s": instance.network_bytes_per_s,
+            "intra_node_bytes_per_s": instance.intra_node_bytes_per_s,
+        },
+        "gpu": {
+            "name": gpu.name,
+            "peak_fp32_flops": gpu.peak_fp32_flops,
+            "training_efficiency": gpu.training_efficiency,
+            "memcpy_bytes_per_s": gpu.memcpy_bytes_per_s,
+            "memory_bytes": gpu.memory_bytes,
+            "kernel_launch_overhead_s": gpu.kernel_launch_overhead_s,
+        },
+    }
+
+
+def oracle_config_fingerprint(config) -> Dict[str, Any]:
+    """All DDPConfig knobs; ``None`` hashes as the default."""
+    return dataclasses.asdict(config if config is not None
+                              else DDPConfig())
+
+
 @pytest.fixture
 def oracle(monkeypatch):
     """Context in which the job modules render keys the pre-memo way."""
@@ -89,6 +122,10 @@ def oracle(monkeypatch):
             monkeypatch.setattr(module, "model_fragment",
                                 oracle_model_fingerprint)
             monkeypatch.setattr(module, "digest", oracle_digest)
+        monkeypatch.setattr(engine, "cluster_fragment",
+                            oracle_cluster_fingerprint)
+        monkeypatch.setattr(engine, "config_fragment",
+                            oracle_config_fingerprint)
         for module in (modeljobs, advisorjobs):
             monkeypatch.setattr(module, "canonical_json",
                                 oracle_canonical_json)
@@ -109,11 +146,14 @@ def _faults():
 
 
 def _sim_jobs():
-    return [SimJob(model=get_model(name), cluster=cluster_for_gpus(16),
-                   scheme=scheme, faults=faults, seed=2)
+    configs = (None, DDPConfig(gamma=1.2, overlap_compression=True))
+    return [SimJob(model=get_model(name), cluster=cluster_for_gpus(gpus),
+                   scheme=scheme, config=configs[gpus == 32],
+                   faults=faults, seed=2)
             for name in available_models()
             for scheme in _schemes()
-            for faults in (None, _faults())]
+            for faults in (None, _faults())
+            for gpus in (16, 32)]
 
 
 def _model_eval_jobs():
@@ -254,3 +294,46 @@ class TestModelFragmentMemo:
         assert job.fingerprint() != key
         assert model_fragment(edited) == oracle_canonical_json(
             oracle_model_fingerprint(edited))
+
+
+class TestClusterAndConfigFragments:
+    def test_cluster_fragment_rendered_once(self):
+        cluster = cluster_for_gpus(16)
+        first = cluster_fragment(cluster)
+        assert cluster.__dict__[FINGERPRINT_MEMO] is first
+        assert cluster_fragment(cluster) is first
+        assert first == oracle_canonical_json(
+            oracle_cluster_fingerprint(cluster))
+
+    def test_config_fragment_rendered_once(self):
+        config = DDPConfig(comm_jitter=0.1)
+        first = config_fragment(config)
+        assert config_fragment(config) is first
+        assert first == oracle_canonical_json(
+            oracle_config_fingerprint(config))
+
+    def test_default_config_rendered_once(self):
+        assert config_fragment(None) is config_fragment(None)
+        assert config_fragment(None) == config_fragment(DDPConfig())
+
+    def test_equality_hash_and_pickle_unaffected(self):
+        cluster, twin = cluster_for_gpus(16), cluster_for_gpus(16)
+        before = hash(cluster)
+        fragment = cluster_fragment(cluster)
+        assert cluster == twin and hash(cluster) == before == hash(twin)
+        clone = pickle.loads(pickle.dumps(cluster))
+        assert clone == cluster
+        assert cluster_fragment(clone) == fragment
+
+    def test_replaced_specs_render_their_own_fields(self):
+        cluster = cluster_for_gpus(16)
+        config = DDPConfig()
+        job = SimJob(model=get_model("resnet50"), cluster=cluster,
+                     config=config)
+        key = job.fingerprint()
+        assert SimJob(model=job.model,
+                      cluster=dataclasses.replace(cluster, seed=9),
+                      config=config).fingerprint() != key
+        assert SimJob(model=job.model, cluster=cluster,
+                      config=dataclasses.replace(config, gamma=1.3),
+                      ).fingerprint() != key
